@@ -98,7 +98,7 @@ use datareuse_core::{
 };
 use datareuse_exprlang::{looks_like_expression, parse_expression};
 use datareuse_kernels::{corpus, load_kernel, BUILTINS, DEFAULT_CORPUS_SEED};
-use datareuse_loopir::{read_addresses, AccessKind, Program};
+use datareuse_loopir::{read_addresses, trace_len, AccessKind, Program, TraceFilter};
 use datareuse_memmodel::{BitCount, MemoryTechnology};
 use datareuse_obs::Json;
 use datareuse_server::ops::{codegen_text, default_array};
@@ -869,8 +869,9 @@ fn read_bench_artifacts(dir: &str) -> Result<Vec<(String, Json)>, CliError> {
 
 /// Runs the fresh smoke sweep the scorecard folds in alongside the
 /// committed artifacts: explore latency and allocation for two pinned
-/// kernels, the sweep's symbolic-profile hit rate, agreement between
-/// the analytical `C_tot` and the independent trace length, the
+/// kernels, the symbolic-profile hit rate over those and the guarded
+/// `susan-small`, agreement between the analytical `C_tot` and the
+/// independent trace length on the same three kernels, the
 /// simulation-vs-symbolic allocation ratio, and the serving loop's
 /// steady-state live heap. Recorded through the process-global smoke
 /// registry so `reset_metrics` owns the state like every other
@@ -913,6 +914,17 @@ fn scorecard_smoke_sweep() -> Result<(), CliError> {
             NOISE_SMOKE,
             Direction::LowerIsBetter,
         ));
+    }
+    // The guarded SUSAN mask feeds only the hit rate and the agreement
+    // (enumerated read count vs the closed-form guarded `C_tot`): a
+    // guarded kernel falling back to enumeration again drops the rate.
+    {
+        let program = load_kernel("susan-small")?;
+        let array =
+            default_array(&program).ok_or_else(|| "susan-small: no read accesses".to_string())?;
+        let ex = explore_signal_explained(&program, &array, &opts, None)
+            .map_err(|e| format!("susan-small: {e}"))?;
+        agree &= trace_len(&program, &array, TraceFilter::READS) == ex.c_tot;
     }
     // Simulation-vs-symbolic allocation ratio on fir: how many bytes one
     // Belady trace-simulation point allocates per byte the closed-form

@@ -394,6 +394,31 @@ fn symbolic_dispatch_counters_split_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The SUSAN mask guards are all bounds on one iterator (`d`), so every
+/// access group of every SUSAN form — and the folded nest's merged row
+/// band — is served by the symbolic path: seven row groups plus the
+/// merged group on the folded kernels, one group per row nest on the
+/// unfolded one.
+#[test]
+fn susan_kernels_never_fall_back() {
+    for (kernel, want_hits) in [("susan", 8), ("susan-small", 8), ("susan-unfolded", 7)] {
+        let path = temp_path(&format!("susan_counters_{kernel}.json"));
+        let (ok, _, stderr) = datareuse(&["explore", kernel, "--metrics", path.to_str().unwrap()]);
+        assert!(ok, "{stderr}");
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let counter = |n: &str| {
+            doc.get("counters")
+                .and_then(|c| c.get(n))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+        };
+        assert_eq!(counter("sim_fallbacks"), 0, "{kernel} fell back");
+        assert_eq!(counter("sim_fallbacks_guarded"), 0, "{kernel}");
+        assert_eq!(counter("symbolic_hits"), want_hits, "{kernel}");
+    }
+}
+
 /// `--explain` carries the dispatch decision as a `symbolic-profile`
 /// audit record naming the path taken.
 #[test]

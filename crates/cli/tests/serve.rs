@@ -11,6 +11,16 @@ use std::time::{Duration, Instant};
 
 use datareuse_core::Json;
 
+/// The slow request target of the timeout, overload and coalescing
+/// tests: a nest whose non-separable guard keeps every exploration on
+/// the enumeration path (about 0.4 s per `report` in a release build).
+const SLOW_KERNEL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/slow_guarded.dr");
+
+/// A slow request with `fields` spliced into the JSON object.
+fn slow_request(op: &str, fields: &str) -> String {
+    format!(r#"{{"op":"{op}","kernel":"{SLOW_KERNEL}",{fields}}}"#)
+}
+
 struct ServerProc {
     child: Child,
     addr: String,
@@ -216,7 +226,7 @@ fn an_expired_deadline_returns_a_structured_timeout() {
     let server = ServerProc::spawn(&["--threads", "1"]);
     let responses = exchange(
         &server.addr,
-        &[r#"{"op":"report","kernel":"susan","deadline_ms":0,"id":"slow"}"#],
+        &[&slow_request("report", r#""deadline_ms":0,"id":"slow""#)],
     );
     let doc = &responses[0];
     assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
@@ -249,7 +259,7 @@ fn query_maps_timeouts_to_exit_3_and_prints_the_flight_tail() {
             "query",
             "--addr",
             &server.addr,
-            r#"{"op":"report","kernel":"susan","deadline_ms":0}"#,
+            &slow_request("report", r#""deadline_ms":0"#),
         ])
         .output()
         .expect("query runs");
@@ -279,25 +289,48 @@ fn query_maps_overload_to_exit_4() {
     // distinct `salt` field — the parser ignores it but the canonical
     // cache key hashes it, so the requests stay separate flights
     // instead of coalescing onto one computation.
-    let server = ServerProc::spawn(&["--threads", "1", "--queue-depth", "1"]);
+    //
+    // Rather than sleeping for a host-dependent time, the test polls
+    // `stats` (answered inline on the single event loop, so it never
+    // sees a request half-dispatched) until the pool is in the state it
+    // needs: after the first request the worker has taken it (queue
+    // empty), after the second one job runs and one waits. The third
+    // request then only has to arrive within one slow report.
+    let server = ServerProc::spawn(&["--threads", "1", "--loops", "1", "--queue-depth", "1"]);
+    let wait_for_pool = |computed: u64, queued: u64| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = exchange(&server.addr, &[r#"{"op":"stats"}"#]);
+            let result = stats[0].get("result").expect("stats result");
+            let seen = (
+                result
+                    .get("counters")
+                    .and_then(|c| c.get("serve_cache_misses"))
+                    .and_then(Json::as_u64),
+                result.get("derived").and_then(|d| d.get("queue_depth")).and_then(Json::as_u64),
+            );
+            if seen == (Some(computed), Some(queued)) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "pool never reached {computed}/{queued}: {seen:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
     let mut wedges = Vec::new();
     for salt in 0..2 {
-        let slow =
-            format!(r#"{{"op":"report","kernel":"susan","deadline_ms":60000,"salt":{salt}}}"#);
+        let slow = slow_request("report", &format!(r#""deadline_ms":60000,"salt":{salt}"#));
         let mut stream = TcpStream::connect(&server.addr).expect("connects");
         writeln!(stream, "{slow}").unwrap();
         stream.flush().unwrap();
         wedges.push(stream); // keep open; never read the response
-        // Give the worker time to dequeue the first job so the second
-        // lands in the queue slot rather than being refused itself.
-        std::thread::sleep(Duration::from_millis(300));
+        wait_for_pool(salt + 1, salt);
     }
     let out = Command::new(env!("CARGO_BIN_EXE_datareuse"))
         .args([
             "query",
             "--addr",
             &server.addr,
-            r#"{"op":"report","kernel":"susan","deadline_ms":60000,"salt":2}"#,
+            &slow_request("report", r#""deadline_ms":60000,"salt":2"#),
         ])
         .output()
         .expect("query runs");
@@ -308,7 +341,7 @@ fn query_maps_overload_to_exit_4() {
         stdout.contains(r#""flight":["#),
         "overload response attaches the flight tail: {stdout}"
     );
-    // The pool is wedged on a minutes-long report; no graceful drain.
+    // The pool is wedged on slow reports; no graceful drain.
     drop(wedges);
     server.kill();
 }
@@ -482,17 +515,18 @@ fn identical_concurrent_requests_coalesce_onto_one_computation() {
     // recomputing is the singleflight join. All K identical requests go
     // out in ONE write on one connection: the event loop dispatches the
     // whole block in a single read pass (microseconds), while the
-    // leader's susan exploration runs for ~200ms on a worker — the
-    // followers join the open flight long before it completes.
+    // leader's exploration of the slow fixture runs for ~0.5s on a
+    // worker — the followers join the open flight long before it
+    // completes.
     const K: usize = 4;
     let server = ServerProc::spawn(&["--threads", "2", "--cache-entries", "0"]);
-    let request = r#"{"op":"explore","kernel":"susan","deadline_ms":60000}"#;
+    let request = slow_request("explore", r#""deadline_ms":60000"#);
     let stream = TcpStream::connect(&server.addr).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     let mut block = String::new();
     for _ in 0..K {
-        block.push_str(request);
+        block.push_str(&request);
         block.push('\n');
     }
     writer.write_all(block.as_bytes()).unwrap();

@@ -689,12 +689,12 @@ mod tests {
     #[test]
     fn guarded_fallbacks_are_attributed_by_reason() {
         use datareuse_obs::{counter_value, set_metrics_enabled};
-        // A guarded access leaves the symbolic path with the `Guarded`
-        // classification; the aggregate counter and its per-reason
-        // breakdown must move together so the prom/scorecard breakdown
-        // always sums to `sim_fallbacks`.
+        // An access with a non-separable guard leaves the symbolic path
+        // with the `Guarded` classification; the aggregate counter and its
+        // per-reason breakdown must move together so the prom/scorecard
+        // breakdown always sums to `sim_fallbacks`.
         let p = parse_program(
-            "array A[23]; for j in 0..16 { for k in 0..8 { read A[j + k] if j != 3; } }",
+            "array A[23]; for j in 0..16 { for k in 0..8 { read A[j + k] if j != k; } }",
         )
         .unwrap();
         let total0 = counter_value(Counter::SimFallbacks);
@@ -704,7 +704,7 @@ mod tests {
         set_metrics_enabled(false);
         let total = counter_value(Counter::SimFallbacks) - total0;
         let guarded = counter_value(Counter::SimFallbackGuarded) - guarded0;
-        assert!(guarded >= 1, "guarded nest must record a guarded fallback");
+        assert!(guarded >= 1, "non-separable guard must record a guarded fallback");
         assert_eq!(total, guarded, "every fallback here is a guard fallback");
     }
 

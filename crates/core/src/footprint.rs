@@ -16,9 +16,12 @@
 
 use std::collections::BTreeSet;
 
-use datareuse_loopir::{AffineExpr, Loop, LoopNest};
+use datareuse_loopir::{
+    Access, AccessKind, AffineExpr, CmpOp, Guard, IterSpace, Loop, LoopNest, Program,
+};
 
 use crate::error::AnalyzeError;
+use crate::symbolic::SymbolicFallback;
 
 /// Enumeration budget for per-dimension value sets; beyond this the
 /// analysis falls back to dense-interval approximation.
@@ -97,32 +100,226 @@ fn shifted_overlap(set: &BTreeSet<i64>, shift: i64) -> u64 {
     set.iter().filter(|&&v| set.contains(&(v - shift))).count() as u64
 }
 
-/// Iteration budget for exact guard-aware access counting.
+/// Iteration budget for enumerating non-separable guards.
 const COUNT_BUDGET: u64 = 1 << 24;
 
-/// Exact number of executions of an access, honouring its guards, plus an
-/// exactness flag (false when the guard space is too large to enumerate).
-pub(crate) fn guarded_count(nest: &LoopNest, access: &datareuse_loopir::Access) -> (u64, bool) {
-    if access.guards().is_empty() {
-        return (nest.iteration_count(), true);
-    }
-    if nest.iteration_count() > COUNT_BUDGET {
-        return (nest.iteration_count(), false);
-    }
-    let loops = nest.loops();
-    let count = datareuse_loopir::IterSpace::over(loops)
-        .filter(|point| {
-            access.guards().iter().all(|g| {
-                g.holds(|n| {
-                    loops
-                        .iter()
-                        .position(|l| l.name() == n)
-                        .map(|d| point[d])
-                })
+/// A guard resolved against loop positions once:
+/// `Σ coeff·point[pos] + constant op 0`, iterators outside the loops
+/// contributing 0 as they do under [`datareuse_loopir::Guard::holds`].
+struct ResolvedGuard {
+    terms: Vec<(usize, i128)>,
+    constant: i128,
+    op: CmpOp,
+}
+
+impl ResolvedGuard {
+    fn new(loops: &[Loop], g: &Guard) -> Self {
+        let diff = |l: i64, r: i64| i128::from(l) - i128::from(r);
+        let terms = loops
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, l)| {
+                let c = diff(g.lhs.coeff(l.name()), g.rhs.coeff(l.name()));
+                (c != 0).then_some((pos, c))
             })
+            .collect();
+        Self {
+            terms,
+            constant: diff(g.lhs.constant_part(), g.rhs.constant_part()),
+            op: g.op,
+        }
+    }
+
+    fn holds(&self, point: &[i64]) -> bool {
+        let v = self
+            .terms
+            .iter()
+            .fold(self.constant, |acc, &(pos, c)| acc + c * i128::from(point[pos]));
+        // The sign decides every comparison against zero.
+        self.op.holds(v.signum() as i64, 0)
+    }
+}
+
+/// A single-iterator guard in normal form `coeff·t + constant op 0`, with
+/// `coeff > 0`, over the 0-based counter `t ∈ 0..trip` of the loop at
+/// `pos` (the loop's lower bound and step folded in, as
+/// [`LoopNest::normalized`] does).
+struct Clip {
+    pos: usize,
+    coeff: i128,
+    constant: i128,
+    op: CmpOp,
+}
+
+/// Magnitude bound on a clip's terms, so the interval arithmetic in
+/// [`Clip::narrow`] cannot overflow `i128`.
+const CLIP_LIMIT: u128 = 1 << 100;
+
+impl Clip {
+    fn new(loop_: &Loop, pos: usize, coeff: i128, constant: i128, op: CmpOp) -> Option<Self> {
+        // x = lower + step·t
+        let constant = coeff
+            .checked_mul(i128::from(loop_.lower()))?
+            .checked_add(constant)?;
+        let coeff = coeff.checked_mul(i128::from(loop_.step()))?;
+        if coeff.unsigned_abs() >= CLIP_LIMIT || constant.unsigned_abs() >= CLIP_LIMIT {
+            return None;
+        }
+        // Negating both sides keeps `coeff` positive and mirrors the op.
+        Some(if coeff > 0 {
+            Self { pos, coeff, constant, op }
+        } else {
+            let op = match op {
+                CmpOp::Lt => CmpOp::Gt,
+                CmpOp::Le => CmpOp::Ge,
+                CmpOp::Gt => CmpOp::Lt,
+                CmpOp::Ge => CmpOp::Le,
+                same => same,
+            };
+            Self { pos, coeff: -coeff, constant: -constant, op }
         })
-        .count() as u64;
-    (count, true)
+    }
+
+    /// Narrows `[lo, hi]` to the counter values the guard admits. `!=`
+    /// removes a point rather than a range and is left to the caller.
+    fn narrow(&self, lo: &mut i128, hi: &mut i128) {
+        let (c, k) = (self.coeff, self.constant);
+        let floor = |r: i128| r.div_euclid(c);
+        let ceil = |r: i128| -(-r).div_euclid(c);
+        match self.op {
+            CmpOp::Lt => *hi = (*hi).min(floor(-k - 1)),
+            CmpOp::Le => *hi = (*hi).min(floor(-k)),
+            CmpOp::Gt => *lo = (*lo).max(ceil(1 - k)),
+            CmpOp::Ge => *lo = (*lo).max(ceil(-k)),
+            CmpOp::Eq => {
+                *lo = (*lo).max(ceil(-k));
+                *hi = (*hi).min(floor(-k));
+            }
+            CmpOp::Ne => {}
+        }
+    }
+
+    /// The counter value a `!=` guard excludes, if it is an integer.
+    fn hole(&self) -> Option<i128> {
+        (self.op == CmpOp::Ne && self.constant % self.coeff == 0)
+            .then(|| -self.constant / self.coeff)
+    }
+}
+
+/// Executions of an access over `loops` under the conjunction `guards`,
+/// in closed form: `Ok(Some(count))` when every guard is *separable*
+/// (mentions at most one loop iterator), `Ok(None)` when some guard
+/// couples two or more iterators.
+///
+/// A guard without iterators is true or false for the whole nest; a
+/// single-iterator guard clips that loop's counter range to an interval
+/// (`< <= > >= ==`) or removes one point from it (`!=`). The count is the
+/// product of the admissible values per loop — O(#guards × depth)
+/// arithmetic, never a scan of a trip range. Unguarded accesses return
+/// without allocating.
+///
+/// # Errors
+///
+/// [`SymbolicFallback::Overflow`] when the count, or a guard's terms once
+/// the loop bounds are folded in, leave the integer range; nothing wraps.
+pub(crate) fn separable_count(
+    loops: &[Loop],
+    guards: &[Guard],
+) -> Result<Option<u64>, SymbolicFallback> {
+    let overflow = SymbolicFallback::Overflow;
+    if guards.is_empty() {
+        return loops
+            .iter()
+            .try_fold(1u64, |acc, l| acc.checked_mul(l.trip_count()))
+            .map(Some)
+            .ok_or(overflow);
+    }
+    let mut clips: Vec<Clip> = Vec::with_capacity(guards.len());
+    for g in guards {
+        let resolved = ResolvedGuard::new(loops, g);
+        match resolved.terms[..] {
+            [] if resolved.holds(&[]) => {}
+            [] => return Ok(Some(0)),
+            [(pos, coeff)] => clips.push(
+                Clip::new(&loops[pos], pos, coeff, resolved.constant, g.op).ok_or(overflow)?,
+            ),
+            _ => return Ok(None),
+        }
+    }
+    // A zero factor anywhere wins over an overflowing product.
+    let mut count = Some(1u64);
+    for (pos, l) in loops.iter().enumerate() {
+        let on_loop = || clips.iter().filter(move |c| c.pos == pos);
+        let (mut lo, mut hi) = (0i128, i128::from(l.trip_count()) - 1);
+        for clip in on_loop() {
+            clip.narrow(&mut lo, &mut hi);
+        }
+        let holes = || on_loop().filter_map(Clip::hole).filter(|t| (lo..=hi).contains(t));
+        // Repeated `!=` guards on one value remove it once.
+        let removed = holes()
+            .enumerate()
+            .filter(|&(i, t)| !holes().take(i).any(|u| u == t))
+            .count();
+        let admitted = (hi - lo + 1).max(0) - removed as i128;
+        if admitted <= 0 {
+            return Ok(Some(0));
+        }
+        count = count.and_then(|n| n.checked_mul(u64::try_from(admitted).ok()?));
+    }
+    count.map(Some).ok_or(overflow)
+}
+
+/// Exact number of executions of an access, honouring its guards, plus an
+/// exactness flag. Separable guards are counted in closed form; a
+/// non-separable guard space is enumerated, or — beyond `COUNT_BUDGET`
+/// points — bounded by the unguarded iteration count (flag false).
+pub(crate) fn guarded_count(nest: &LoopNest, access: &Access) -> (u64, bool) {
+    let loops = nest.loops();
+    if let Ok(Some(count)) = separable_count(loops, access.guards()) {
+        return (count, true);
+    }
+    match loops.iter().try_fold(1u64, |acc, l| acc.checked_mul(l.trip_count())) {
+        Some(total) if total <= COUNT_BUDGET => {
+            let resolved: Vec<ResolvedGuard> =
+                access.guards().iter().map(|g| ResolvedGuard::new(loops, g)).collect();
+            let mut count = 0u64;
+            IterSpace::over(loops).for_each_point(|p| {
+                count += u64::from(resolved.iter().all(|g| g.holds(p)));
+            });
+            (count, true)
+        }
+        total => (total.unwrap_or(u64::MAX), false),
+    }
+}
+
+/// Reads of `array` over the whole program, honouring guards: the closed
+/// form of [`datareuse_loopir::trace_len`] with
+/// [`TraceFilter::READS`](datareuse_loopir::TraceFilter::READS), counted
+/// per access as the explore path counts `C_tot`. Accesses with
+/// non-separable guards are enumerated up to the same budget and bounded
+/// above beyond it; a total beyond `u64` saturates.
+///
+/// # Examples
+///
+/// ```
+/// use datareuse_core::read_count;
+/// use datareuse_loopir::parse_program;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let p = parse_program(
+///     "array A[16];
+///      for j in 0..8 { for k in 0..8 { read A[j + k] if k < 3; } }",
+/// )?;
+/// assert_eq!(read_count(&p, "A"), 8 * 3);
+/// # Ok(())
+/// # }
+/// ```
+pub fn read_count(program: &Program, array: &str) -> u64 {
+    program
+        .nests()
+        .iter()
+        .flat_map(|nest| nest.accesses().iter().map(move |acc| (nest, acc)))
+        .filter(|(_, acc)| acc.array() == array && acc.kind() == AccessKind::Read)
+        .fold(0u64, |total, (nest, acc)| total.saturating_add(guarded_count(nest, acc).0))
 }
 
 /// Computes the footprint-level candidates of `nest.accesses()[access]`
@@ -198,8 +395,7 @@ pub fn footprint_levels_merged(
     }
     let nest = nest.normalized();
     let loops = nest.loops();
-    let reps: Vec<&datareuse_loopir::Access> =
-        accesses.iter().map(|&a| &nest.accesses()[a]).collect();
+    let reps: Vec<&Access> = accesses.iter().map(|&a| &nest.accesses()[a]).collect();
     // Translation check: same array, same rank, same coefficients.
     let base = reps[0];
     for acc in &reps {
@@ -223,7 +419,7 @@ pub fn footprint_levels_merged(
     let mut counts_exact = true;
     for acc in &reps {
         let (count, exact) = guarded_count(&nest, acc);
-        c_tot += count;
+        c_tot = c_tot.saturating_add(count);
         counts_exact &= exact;
     }
     let mut out = Vec::new();
@@ -445,6 +641,131 @@ mod tests {
             footprint_levels(&p.nests()[0], 3),
             Err(AnalyzeError::NoSuchAccess { .. })
         ));
+    }
+
+    /// Enumeration oracle: the points of `loops` where every guard holds,
+    /// evaluated by name through [`Guard::holds`].
+    fn enumerated(loops: &[Loop], guards: &[Guard]) -> u64 {
+        IterSpace::over(loops)
+            .filter(|p| {
+                guards.iter().all(|g| {
+                    g.holds(|n| loops.iter().position(|l| l.name() == n).map(|d| p[d]))
+                })
+            })
+            .count() as u64
+    }
+
+    #[test]
+    fn separable_counts_match_enumeration() {
+        use datareuse_loopir::CmpOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        let loops = [Loop::with_step("i", -3, 9, 2), Loop::new("j", 2, 6)];
+        let c = AffineExpr::constant;
+        let mut guards_seen = 0;
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            for coeff in [-3i64, -2, -1, 1, 2, 3] {
+                for constant in -7i64..=7 {
+                    for it in ["i", "j"] {
+                        // Iterator on the left, then on the right.
+                        let term = AffineExpr::term(it, coeff);
+                        for g in [
+                            Guard::new(term.clone(), op, c(constant)),
+                            Guard::new(c(constant), op, term),
+                        ] {
+                            let pair = [g, Guard::new(AffineExpr::var("j"), Ne, c(4))];
+                            for guards in [&pair[..1], &pair[..]] {
+                                assert_eq!(
+                                    separable_count(&loops, guards),
+                                    Ok(Some(enumerated(&loops, guards))),
+                                    "{guards:?}"
+                                );
+                                guards_seen += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(guards_seen, 6 * 6 * 15 * 2 * 2 * 2);
+    }
+
+    #[test]
+    fn constant_and_repeated_guards_count_in_closed_form() {
+        let loops = [Loop::new("i", 0, 9), Loop::new("j", 0, 9)];
+        let g = |l: AffineExpr, op, r: AffineExpr| Guard::new(l, op, r);
+        let c = AffineExpr::constant;
+        let i = || AffineExpr::var("i");
+        assert_eq!(separable_count(&loops, &[g(c(1), CmpOp::Lt, c(2))]), Ok(Some(100)));
+        assert_eq!(separable_count(&loops, &[g(c(2), CmpOp::Lt, c(2))]), Ok(Some(0)));
+        // `i != 3` twice removes one point; a hole outside the interval
+        // or at a non-integer root removes none.
+        let twice = [g(i(), CmpOp::Ne, c(3)), g(i(), CmpOp::Ne, c(3))];
+        assert_eq!(separable_count(&loops, &twice), Ok(Some(90)));
+        let outside = [g(i(), CmpOp::Le, c(4)), g(i(), CmpOp::Ne, c(7))];
+        assert_eq!(separable_count(&loops, &outside), Ok(Some(50)));
+        let fractional = [g(i().scaled(2), CmpOp::Ne, c(5))];
+        assert_eq!(separable_count(&loops, &fractional), Ok(Some(100)));
+        // Two iterators in one guard: not separable.
+        let coupled = [g(i(), CmpOp::Lt, AffineExpr::var("j"))];
+        assert_eq!(separable_count(&loops, &coupled), Ok(None));
+    }
+
+    #[test]
+    fn non_separable_guards_are_enumerated() {
+        let p = program(
+            "array A[10]; for i in -3..=9 step 2 { for j in 2..=6 {
+               read A[j] if 2*i < 3*j - 4; read A[j] if i != j;
+             } }",
+        );
+        let nest = &p.nests()[0];
+        for acc in nest.accesses() {
+            assert_eq!(separable_count(nest.loops(), acc.guards()), Ok(None));
+            assert_eq!(
+                guarded_count(nest, acc),
+                (enumerated(nest.loops(), acc.guards()), true),
+                "{acc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_count_bounds_a_non_separable_guard_beyond_the_budget() {
+        // 2^26 points: over COUNT_BUDGET, so no enumeration runs and the
+        // unguarded count is the (upper-bound) answer.
+        let p = program(
+            "array A[8192]; for i in 0..8192 { for j in 0..8192 { read A[i] if i != j; } }",
+        );
+        assert_eq!(guarded_count(&p.nests()[0], &p.nests()[0].accesses()[0]), (1 << 26, false));
+        assert_eq!(read_count(&p, "A"), 1 << 26);
+    }
+
+    #[test]
+    fn closed_form_counts_overflow_instead_of_wrapping() {
+        let huge = [
+            Loop::new("a", 0, 1 << 40),
+            Loop::new("b", 0, 1 << 40),
+            Loop::new("c", 0, 9),
+        ];
+        let keep_most = [Guard::new(AffineExpr::var("c"), CmpOp::Ne, AffineExpr::constant(3))];
+        assert_eq!(separable_count(&huge, &keep_most), Err(SymbolicFallback::Overflow));
+        // An empty factor still wins over the overflowing product.
+        let none = [Guard::new(AffineExpr::var("c"), CmpOp::Gt, AffineExpr::constant(9))];
+        assert_eq!(separable_count(&huge, &none), Ok(Some(0)));
+    }
+
+    #[test]
+    fn read_count_agrees_with_the_trace_oracle() {
+        let p = program(
+            "array A[40];
+             for j in 0..16 { for k in 0..8 {
+               read A[j + k] if k != 2; read A[j + k + 1] if j < k; read A[j] if j >= 3;
+               write A[j];
+             } }",
+        );
+        assert_eq!(
+            read_count(&p, "A"),
+            datareuse_loopir::trace_len(&p, "A", datareuse_loopir::TraceFilter::READS)
+        );
+        assert_eq!(read_count(&p, "B"), 0);
     }
 
     #[test]

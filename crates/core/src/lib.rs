@@ -67,7 +67,7 @@ pub use explore::{
     assignment_menu, explore_program, explore_program_explained, explore_signal,
     explore_signal_explained, AccessGroup, ExploreOptions, SignalExploration,
 };
-pub use footprint::{footprint_levels, LevelCandidate};
+pub use footprint::{footprint_levels, read_count, LevelCandidate};
 pub use footprint::footprint_levels_merged;
 pub use levels::{
     dedupe_candidates, dedupe_candidates_explained, enumerate_chains, CandidatePoint,

@@ -10,7 +10,9 @@
 //! hold-current-footprint candidate levels in closed form, in O(depth ×
 //! dims) arithmetic, for every nest in the *conforming* class:
 //!
-//! - every access of the group is unguarded,
+//! - every guard of the group is separable — it mentions at most one
+//!   loop iterator, so its execution count is a product of clipped
+//!   interval lengths (guards shrink `C_tot`, never the footprints),
 //! - the accesses are translations of one another (identical iterator
 //!   coefficients, different constant offsets),
 //! - at every depth, no inner iterator feeds two index dimensions,
@@ -18,8 +20,8 @@
 //!   ([`StridedInterval::from_terms`]), and the union across translated
 //!   accesses is one too.
 //!
-//! All kernels shipped in `datareuse-kernels` except the guarded SUSAN
-//! mask are conforming. Non-conforming nests return a
+//! All kernels shipped in `datareuse-kernels` are conforming, the
+//! guarded SUSAN mask included. Non-conforming nests return a
 //! [`SymbolicFallback`] naming the first violated condition and the
 //! caller falls back to enumeration/simulation — the dispatch that
 //! [`crate::explore_signal`] records in the `symbolic_hits` /
@@ -42,7 +44,7 @@ use std::fmt;
 
 use datareuse_loopir::{Loop, LoopNest};
 
-use crate::footprint::LevelCandidate;
+use crate::footprint::{separable_count, LevelCandidate};
 use crate::stride::StridedInterval;
 
 /// Why a nest left the symbolic path — the first conforming-class
@@ -50,8 +52,9 @@ use crate::stride::StridedInterval;
 /// counted by the `sim_fallbacks` counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymbolicFallback {
-    /// An access carries guards (e.g. the SUSAN circular mask): its
-    /// iteration space is not the full loop box.
+    /// An access carries a non-separable guard — one coupling two or
+    /// more loop iterators, such as `i != j` — whose execution count has
+    /// no closed form here.
     Guarded,
     /// An inner iterator feeds two index dimensions (e.g. the diagonal
     /// `A[k][k]`), so the footprint does not factor per dimension.
@@ -166,8 +169,15 @@ impl SymbolicProfile {
         let loops = nest.loops();
         let reps: Vec<&datareuse_loopir::Access> =
             accesses.iter().map(|&a| &nest.accesses()[a]).collect();
-        if reps.iter().any(|a| !a.guards().is_empty()) {
-            return Err(SymbolicFallback::Guarded);
+        // Separable guards only shrink the executed iteration space:
+        // C_tot takes their closed-form counts while footprints and
+        // overlaps stay those of the full box — as on the enumeration
+        // path, which ignores guards for footprints too.
+        let mut c_tot = 0u64;
+        for acc in &reps {
+            let count =
+                separable_count(loops, acc.guards())?.ok_or(SymbolicFallback::Guarded)?;
+            c_tot = c_tot.checked_add(count).ok_or(SymbolicFallback::Overflow)?;
         }
         let base = reps[0];
         for acc in &reps {
@@ -180,9 +190,6 @@ impl SymbolicProfile {
                 return Err(SymbolicFallback::NotTranslated);
             }
         }
-        let c_tot = (reps.len() as u64)
-            .checked_mul(nest.iteration_count())
-            .ok_or(SymbolicFallback::Overflow)?;
 
         let mut levels = Vec::with_capacity(loops.len());
         for depth in 1..=loops.len() {
@@ -502,7 +509,10 @@ mod tests {
             symbolic_profile(&p.nests()[0], 0),
             Err(SymbolicFallback::SharedIterators)
         );
-        let p = program("array A[8]; for i in 0..8 { read A[i] if i != 3; }");
+        // A guard coupling two iterators is non-separable.
+        let p = program(
+            "array A[16]; for i in 0..8 { for j in 0..8 { read A[i + j] if i != j; } }",
+        );
         assert_eq!(
             symbolic_profile(&p.nests()[0], 0),
             Err(SymbolicFallback::Guarded)

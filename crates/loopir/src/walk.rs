@@ -54,6 +54,27 @@ impl<'a> IterSpace<'a> {
         self.loops.is_empty()
     }
 
+    /// Visits the remaining points in execution order through one reused
+    /// buffer — the allocation-free walk for callers that only inspect
+    /// each point (the [`Iterator`] impl allocates one `Vec` per point).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use datareuse_loopir::{IterSpace, Loop};
+    ///
+    /// let loops = [Loop::new("i", 0, 3), Loop::new("j", 0, 3)];
+    /// let mut diagonal = 0;
+    /// IterSpace::over(&loops).for_each_point(|p| diagonal += usize::from(p[0] == p[1]));
+    /// assert_eq!(diagonal, 4);
+    /// ```
+    pub fn for_each_point(mut self, mut f: impl FnMut(&[i64])) {
+        while !self.done {
+            f(&self.current);
+            self.advance();
+        }
+    }
+
     fn advance(&mut self) {
         for depth in (0..self.loops.len()).rev() {
             let l = &self.loops[depth];
@@ -129,6 +150,17 @@ mod tests {
         let walker = IterSpace::over(&loops);
         assert_eq!(walker.len(), 25);
         assert_eq!(walker.count(), 25);
+    }
+
+    #[test]
+    fn for_each_point_visits_what_the_iterator_yields() {
+        let loops = [Loop::with_step("i", -3, 4, 3), Loop::new("j", 2, 4)];
+        let mut visited = Vec::new();
+        IterSpace::over(&loops).for_each_point(|p| visited.push(p.to_vec()));
+        assert_eq!(visited, IterSpace::over(&loops).collect::<Vec<_>>());
+        let mut empty = 0;
+        IterSpace::over(&[]).for_each_point(|_| empty += 1);
+        assert_eq!(empty, 0);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use datareuse_codegen::{
     emit_band_copy, emit_selfcheck, emit_selfcheck_adopt, emit_selfcheck_band, emit_transformed,
     emit_transformed_adopt, TemplateOptions,
 };
-use datareuse_core::{explore_program, explore_signal, ExplorationReport, ExploreOptions};
+use datareuse_core::{
+    explore_program, explore_signal, read_count, ExplorationReport, ExploreOptions,
+};
 use datareuse_kernels::load_kernel;
 use datareuse_loopir::{AccessKind, Program};
 use datareuse_memmodel::{BitCount, MemoryLibrary, MemoryTechnology};
@@ -45,11 +47,7 @@ impl OpError {
 pub fn default_array(program: &Program) -> Option<String> {
     let mut best: Option<(String, u64)> = None;
     for decl in program.arrays() {
-        let reads = datareuse_loopir::trace_len(
-            program,
-            decl.name(),
-            datareuse_loopir::TraceFilter::READS,
-        );
+        let reads = read_count(program, decl.name());
         if reads > 0 && best.as_ref().is_none_or(|(_, r)| reads > *r) {
             best = Some((decl.name().to_string(), reads));
         }
