@@ -1,12 +1,8 @@
-//! Shared helpers for the figure-regeneration harnesses (`src/bin/fig*`)
-//! and the std-only micro-benchmarks of the `datareuse` project.
+//! Shared helpers for the figure-regeneration harnesses (`src/bin/fig*`,
+//! `timing`, `ablation`) of the `datareuse` project.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
-
-pub use harness::{BenchGroup, Measurement};
 
 use std::path::PathBuf;
 

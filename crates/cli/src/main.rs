@@ -12,8 +12,6 @@
 //!                   [--selfcheck] [--single-assignment] [--adopt] [--band DEPTH] [--rust]
 //! datareuse report  <kernel> [--json] [--explain FILE] [--metrics FILE]
 //!                   [--profile-out FILE] [--progress]
-//! datareuse scorecard [--json] [--baseline FILE] [--update-baseline]
-//!                   [--bench-dir DIR]
 //! datareuse serve   [--addr HOST:PORT] [--threads N] [--loops N] [--queue-depth N]
 //!                   [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
 //!                   [--metrics FILE] [--trace-out FILE] [--series-out FILE]
@@ -22,7 +20,6 @@
 //! datareuse query   --addr HOST:PORT <request-json>...
 //! datareuse top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
 //! datareuse bench-serve [--connections N] [--out FILE] [--threads N] [--loops N]
-//! datareuse bench-corpus [--out FILE] [--samples N]
 //! ```
 //!
 //! `<kernel>` is a built-in name (see `datareuse kernels`), a
@@ -36,9 +33,7 @@
 //! of C; `codegen --band DEPTH --rust` prints the footprint-level band
 //! copy as a self-checking Rust program (compile it with `rustc`, run
 //! it, and it prints `OK <checksum>` iff the transformed stream matches
-//! the original). `bench-corpus` sweeps the generated corpus through
-//! the explorer and writes a benchmark artifact with per-kernel explore
-//! latency and the symbolic-profile hit rate.
+//! the original).
 //!
 //! `--metrics FILE` enables the observability registry for the run and
 //! writes a `datareuse-metrics-v2` JSON snapshot (span timings, event
@@ -53,11 +48,7 @@
 //! command and writes the span-derived self-time profile in collapsed-
 //! stack format (one `a;b;c SELF_NS` line, `flamegraph.pl`-compatible)
 //! when the command finishes; a `profile: wall_ns N` line on stderr
-//! reports the measured wall time the self times partition. `scorecard`
-//! folds every committed `benchmarks/BENCH_*.json` artifact plus a
-//! fresh smoke sweep into a `datareuse-scorecard-v1` document and, when
-//! a baseline (`benchmarks/SCORECARD.json` by default) exists, judges
-//! each metric `better`, `within-noise`, or `regressed` against it.
+//! reports the measured wall time the self times partition.
 //!
 //! `--explain FILE` runs the exploration through the audit sink and
 //! writes one NDJSON record per copy-candidate and per evaluated
@@ -80,9 +71,7 @@
 //! structured server errors to distinct codes: 3 for `timeout`, 4 for
 //! `overloaded`, and prints any attached flight-recorder tail to stderr;
 //! a `health` response maps its status to 5 (`degraded`) or 6
-//! (`failing`) so probes can alert without parsing JSON. `scorecard`
-//! exits 7 when any metric regresses past its noise band, which is what
-//! lets `scripts/verify.sh` gate on it.
+//! (`failing`) so probes can alert without parsing JSON.
 
 mod top;
 
@@ -98,7 +87,7 @@ use datareuse_core::{
 };
 use datareuse_exprlang::{looks_like_expression, parse_expression};
 use datareuse_kernels::{corpus, load_kernel, BUILTINS, DEFAULT_CORPUS_SEED};
-use datareuse_loopir::{read_addresses, trace_len, AccessKind, Program, TraceFilter};
+use datareuse_loopir::{read_addresses, AccessKind, Program};
 use datareuse_memmodel::{BitCount, MemoryTechnology};
 use datareuse_obs::Json;
 use datareuse_server::ops::{codegen_text, default_array};
@@ -115,7 +104,6 @@ const USAGE: &str = "usage: datareuse <command> [args]
                    [--alloc-profile FILE] [--progress]
   report  <kernel> [--json] [--explain FILE] [--metrics FILE]
                    [--profile-out FILE] [--alloc-profile FILE] [--progress]
-  scorecard [--json] [--baseline FILE] [--update-baseline] [--bench-dir DIR]
   orders  <kernel> [--array NAME] [--limit N]
   curve   <kernel> [--array NAME] --sizes 8,64,512 [--policy opt|opt-bypass]
   codegen <kernel> [--array NAME] [--pair O,I] [--strategy max|partial:G|bypass:G]
@@ -129,19 +117,18 @@ const USAGE: &str = "usage: datareuse <command> [args]
   query   --addr HOST:PORT <request-json>...
   top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
   bench-serve [--connections N] [--out FILE] [--threads N] [--loops N]
-  bench-corpus [--out FILE] [--samples N]
 <kernel> is a built-in name (`datareuse kernels`), a generated-corpus name
 (gen-matmul-32x32x32, ...), an inline einsum expression like
 'C[i,j] += A[i,k] * B[k,j]' (also via --expr EXPR), or a path to a .dr file.
 query exit codes: 0 ok, 1 transport/server error, 3 timeout, 4 overloaded,
-5 health degraded, 6 health failing; scorecard exits 7 on a regression.";
+5 health degraded, 6 health failing.";
 
 /// A CLI failure, split by whose fault it is: `Usage` is a malformed
 /// invocation (exit 2, prints the usage summary), `Runtime` is a
 /// failure of valid work (exit 1), and `Server` is a structured failure
-/// carrying its own exit code (3 timeout, 4 overloaded, 7 scorecard
-/// regression) so scripts can distinguish retry-later refusals and
-/// regression verdicts from hard failures.
+/// carrying its own exit code (3 timeout, 4 overloaded, 5/6 health
+/// degraded/failing) so scripts can distinguish retry-later refusals
+/// and health verdicts from hard failures.
 enum CliError {
     Usage(String),
     Runtime(String),
@@ -759,356 +746,6 @@ fn cmd_codegen(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `bench-corpus`: sweeps the generated corpus through the symbolic-first
-/// explorer and writes `benchmarks/BENCH_corpus.json` — one bench per
-/// corpus kernel (explore latency over `--samples` runs, `elements` =
-/// iteration-domain size) plus a `symbolic` object with the sweep-wide
-/// symbolic-profile hit rate. The artifact is schema-checked by
-/// `tests/bench_artifacts.rs` and regenerated by `scripts/verify.sh`.
-fn cmd_bench_corpus(args: &Args) -> Result<(), CliError> {
-    use std::time::Instant;
-
-    let out_path = args
-        .flag("out")
-        .unwrap_or("benchmarks/BENCH_corpus.json")
-        .to_string();
-    let samples: usize = args
-        .flag("samples")
-        .map(|v| v.parse().map_err(|_| usage("bad --samples")))
-        .transpose()?
-        .unwrap_or(3);
-    if samples == 0 {
-        return Err(usage("--samples must be positive"));
-    }
-    datareuse_obs::set_metrics_enabled(true);
-    let opts = ExploreOptions::default();
-    let hits_before = datareuse_obs::counter_value(datareuse_obs::Counter::SymbolicHits);
-    let falls_before = datareuse_obs::counter_value(datareuse_obs::Counter::SimFallbacks);
-    let mut benches = Vec::new();
-    for entry in corpus() {
-        let program = load_kernel(&entry.name)?;
-        let array = default_array(&program)
-            .ok_or_else(|| format!("{}: no read accesses", entry.name))?;
-        let mut latencies: Vec<u64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let started = Instant::now();
-            explore_signal_explained(&program, &array, &opts, None)
-                .map_err(|e| format!("{}: {e}", entry.name))?;
-            latencies.push((started.elapsed().as_nanos() as u64).max(1));
-        }
-        latencies.sort_unstable();
-        let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
-        let iters: u64 = program.nests().iter().map(|n| n.iteration_count()).sum();
-        benches.push(Json::obj([
-            ("id", Json::str(entry.name.as_str())),
-            ("samples", Json::UInt(latencies.len() as u64)),
-            ("min_ns", Json::UInt(latencies[0])),
-            ("median_ns", Json::UInt(latencies[latencies.len() / 2])),
-            ("mean_ns", Json::Num(mean)),
-            ("elements", Json::UInt(iters)),
-        ]));
-        eprintln!(
-            "bench-corpus: {:<26} median {:>9.1}us over {samples} samples",
-            entry.name,
-            latencies[latencies.len() / 2] as f64 / 1e3
-        );
-    }
-    let hits = datareuse_obs::counter_value(datareuse_obs::Counter::SymbolicHits) - hits_before;
-    let fallbacks =
-        datareuse_obs::counter_value(datareuse_obs::Counter::SimFallbacks) - falls_before;
-    let hit_rate = hits as f64 / ((hits + fallbacks) as f64).max(1.0);
-    let doc = Json::obj([
-        ("group", Json::str("corpus")),
-        ("corpus_seed", Json::UInt(DEFAULT_CORPUS_SEED)),
-        ("benches", Json::Arr(benches)),
-        (
-            "symbolic",
-            Json::obj([
-                ("hits", Json::UInt(hits)),
-                ("fallbacks", Json::UInt(fallbacks)),
-                ("hit_rate", Json::Num(hit_rate)),
-            ]),
-        ),
-    ]);
-    std::fs::write(&out_path, doc.to_string() + "\n")
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    eprintln!(
-        "bench-corpus: {} kernels, symbolic hit rate {hit_rate:.2}; written to {out_path}",
-        corpus().len()
-    );
-    Ok(())
-}
-
-/// Reads every committed `BENCH_*.json` under `dir` as a `(group,
-/// parsed document)` pair, sorted by group name. Non-artifact files
-/// (including `SCORECARD.json`) are ignored.
-fn read_bench_artifacts(dir: &str) -> Result<Vec<(String, Json)>, CliError> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read bench dir `{dir}`: {e}"))?;
-    let mut docs = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read bench dir `{dir}`: {e}"))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(group) = name
-            .strip_prefix("BENCH_")
-            .and_then(|rest| rest.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let text = std::fs::read_to_string(entry.path())
-            .map_err(|e| format!("cannot read `{dir}/{name}`: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-        docs.push((group.to_string(), doc));
-    }
-    if docs.is_empty() {
-        return Err(format!("no BENCH_*.json artifacts under `{dir}`").into());
-    }
-    docs.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(docs)
-}
-
-/// Runs the fresh smoke sweep the scorecard folds in alongside the
-/// committed artifacts: explore latency and allocation for two pinned
-/// kernels, the symbolic-profile hit rate over those and the guarded
-/// `susan-small`, agreement between the analytical `C_tot` and the
-/// independent trace length on the same three kernels, the
-/// simulation-vs-symbolic allocation ratio, and the serving loop's
-/// steady-state live heap. Recorded through the process-global smoke
-/// registry so `reset_metrics` owns the state like every other
-/// observability surface.
-fn scorecard_smoke_sweep() -> Result<(), CliError> {
-    use datareuse_obs::{Counter, Direction, Metric, NOISE_RATE, NOISE_SMOKE};
-    datareuse_obs::set_metrics_enabled(true);
-    let opts = ExploreOptions::default();
-    let hits_before = datareuse_obs::counter_value(Counter::SymbolicHits);
-    let falls_before = datareuse_obs::counter_value(Counter::SimFallbacks);
-    let alloc_bytes = || datareuse_obs::alloc_snapshot().bytes_allocated;
-    let mut agree = true;
-    let mut fir_symbolic_bytes = 1.0f64;
-    for name in ["fir", "me-small"] {
-        let program = load_kernel(name)?;
-        let array =
-            default_array(&program).ok_or_else(|| format!("{name}: no read accesses"))?;
-        let started = std::time::Instant::now();
-        let bytes_before = alloc_bytes();
-        let ex = explore_signal_explained(&program, &array, &opts, None)
-            .map_err(|e| format!("{name}: {e}"))?;
-        let elapsed = (started.elapsed().as_nanos() as f64).max(1.0);
-        let explore_bytes = (alloc_bytes().saturating_sub(bytes_before) as f64).max(1.0);
-        if name == "fir" {
-            fir_symbolic_bytes = explore_bytes;
-        }
-        agree &= read_addresses(&program, &array).len() as u64 == ex.c_tot;
-        datareuse_obs::record_smoke_metric(Metric::new(
-            format!("smoke_explore_{}_ns", name.replace('-', "_")),
-            elapsed,
-            NOISE_SMOKE,
-            Direction::LowerIsBetter,
-        ));
-        // Bytes-per-explore: process-wide allocation traffic of one
-        // symbolic exploration. The whole point of the closed-form path
-        // is to stay allocation-lean; creeping buffers regress here.
-        datareuse_obs::record_smoke_metric(Metric::new(
-            format!("smoke_alloc_{}_bytes", name.replace('-', "_")),
-            explore_bytes,
-            NOISE_SMOKE,
-            Direction::LowerIsBetter,
-        ));
-    }
-    // The guarded SUSAN mask feeds only the hit rate and the agreement
-    // (enumerated read count vs the closed-form guarded `C_tot`): a
-    // guarded kernel falling back to enumeration again drops the rate.
-    {
-        let program = load_kernel("susan-small")?;
-        let array =
-            default_array(&program).ok_or_else(|| "susan-small: no read accesses".to_string())?;
-        let ex = explore_signal_explained(&program, &array, &opts, None)
-            .map_err(|e| format!("susan-small: {e}"))?;
-        agree &= trace_len(&program, &array, TraceFilter::READS) == ex.c_tot;
-    }
-    // Simulation-vs-symbolic allocation ratio on fir: how many bytes one
-    // Belady trace-simulation point allocates per byte the closed-form
-    // exploration allocates. Higher is better — the symbolic path
-    // getting relatively heavier (ratio shrinking) is the regression
-    // this metric exists to catch.
-    {
-        let program = load_kernel("fir")?;
-        let array =
-            default_array(&program).ok_or_else(|| "fir: no read accesses".to_string())?;
-        let trace = read_addresses(&program, &array);
-        let bytes_before = alloc_bytes();
-        let curve = ReuseCurve::simulate(&trace, [64u64], CurvePolicy::Optimal);
-        let sim_bytes = (alloc_bytes().saturating_sub(bytes_before) as f64).max(1.0);
-        std::hint::black_box(&curve);
-        datareuse_obs::record_smoke_metric(Metric::new(
-            "smoke_alloc_symbolic_ratio",
-            sim_bytes / fir_symbolic_bytes,
-            NOISE_SMOKE,
-            Direction::HigherIsBetter,
-        ));
-    }
-    smoke_serve_live_bytes()?;
-    let hits = datareuse_obs::counter_value(Counter::SymbolicHits) - hits_before;
-    let falls = datareuse_obs::counter_value(Counter::SimFallbacks) - falls_before;
-    let rate = hits as f64 / ((hits + falls) as f64).max(1.0);
-    datareuse_obs::record_smoke_metric(Metric::new(
-        "smoke_symbolic_hit_rate",
-        rate,
-        NOISE_RATE,
-        Direction::HigherIsBetter,
-    ));
-    datareuse_obs::record_smoke_metric(Metric::new(
-        "smoke_symbolic_agreement",
-        if agree { 1.0 } else { 0.0 },
-        NOISE_RATE,
-        Direction::HigherIsBetter,
-    ));
-    Ok(())
-}
-
-/// Serve steady-state live heap: bind a loopback server, run a handful
-/// of explore queries through it, and record the process's live bytes
-/// after the drain. A serving loop that retains per-request state (a
-/// leaky cache entry, an unbounded buffer) regresses here.
-fn smoke_serve_live_bytes() -> Result<(), CliError> {
-    use datareuse_obs::{Direction, Metric, NOISE_SMOKE};
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 1,
-        ..ServerConfig::default()
-    })?;
-    let addr = server.local_addr()?;
-    let handle = std::thread::spawn(move || server.run());
-    let mut client = Client::connect(&addr.to_string())?;
-    for kernel in ["fir", "me-small", "fir"] {
-        let response =
-            client.send_raw(&format!(r#"{{"op":"explore","kernel":"{kernel}"}}"#))?;
-        let doc = Json::parse(&response).map_err(|e| format!("serve smoke: {e}"))?;
-        if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("serve smoke: explore failed: {response}").into());
-        }
-    }
-    client.send_raw(r#"{"op":"shutdown"}"#)?;
-    drop(client);
-    handle
-        .join()
-        .map_err(|_| "serve smoke: server thread panicked".to_string())?
-        .map_err(|e| format!("serve smoke: {e}"))?;
-    datareuse_obs::record_smoke_metric(Metric::new(
-        "smoke_serve_live_bytes",
-        datareuse_obs::alloc_snapshot().live_bytes as f64,
-        NOISE_SMOKE,
-        Direction::LowerIsBetter,
-    ));
-    Ok(())
-}
-
-/// Prints the human-readable scorecard table; with a baseline, each row
-/// carries its baseline value and verdict plus a closing tally line.
-fn print_scorecard_table(
-    card: &datareuse_obs::Scorecard,
-    baseline: Option<&datareuse_obs::Scorecard>,
-) {
-    use datareuse_obs::Verdict;
-    println!("datareuse scorecard ({} metrics)", card.metrics.len());
-    let Some(base) = baseline else {
-        for m in &card.metrics {
-            println!(
-                "  {:<32} {:>16.3}  ({}-is-better, noise {:.2})",
-                m.id,
-                m.value,
-                m.direction.word(),
-                m.noise
-            );
-        }
-        return;
-    };
-    let (mut better, mut within, mut regressed) = (0u64, 0u64, 0u64);
-    for (m, base_value, verdict) in card.compare(base) {
-        match verdict {
-            Some(Verdict::Better) => better += 1,
-            Some(Verdict::WithinNoise) => within += 1,
-            Some(Verdict::Regressed) => regressed += 1,
-            None => {}
-        }
-        println!(
-            "  {:<32} {:>16.3} {:>16} {:>14}",
-            m.id,
-            m.value,
-            base_value.map_or("-".to_string(), |b| format!("{b:.3}")),
-            verdict.map_or("new", Verdict::word),
-        );
-    }
-    println!("summary: {better} better, {within} within noise, {regressed} regressed");
-}
-
-/// `scorecard`: folds the committed bench artifacts plus a fresh smoke
-/// sweep into a `datareuse-scorecard-v1` document and judges it against
-/// the committed baseline. Any `regressed` verdict exits 7 — the code
-/// `scripts/verify.sh` gates on.
-fn cmd_scorecard(args: &Args) -> Result<(), CliError> {
-    use datareuse_obs::Scorecard;
-    let bench_dir = args.flag("bench-dir").unwrap_or("benchmarks");
-    let baseline_path = args.flag("baseline").unwrap_or("benchmarks/SCORECARD.json");
-    if args.has("baseline") && args.flag("baseline").is_none() {
-        return Err(usage("--baseline expects a file path"));
-    }
-    let artifacts = read_bench_artifacts(bench_dir)?;
-    scorecard_smoke_sweep()?;
-    let mut metrics = datareuse_obs::fold_bench_artifacts(&artifacts);
-    metrics.extend(datareuse_obs::smoke_metrics());
-    let card = Scorecard { metrics };
-    if args.has("update-baseline") {
-        std::fs::write(baseline_path, card.to_json().to_string() + "\n")
-            .map_err(|e| format!("cannot write `{baseline_path}`: {e}"))?;
-        eprintln!(
-            "scorecard: baseline ({} metrics) written to {baseline_path}",
-            card.metrics.len()
-        );
-        return Ok(());
-    }
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => {
-            let doc = Json::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-            Some(Scorecard::from_json(&doc).map_err(|e| format!("{baseline_path}: {e}"))?)
-        }
-        // The default baseline not existing yet is not an error — the
-        // scorecard still prints, just without verdicts. An explicitly
-        // named baseline must exist.
-        Err(_) if !args.has("baseline") => None,
-        Err(e) => return Err(format!("cannot read baseline `{baseline_path}`: {e}").into()),
-    };
-    let Some(base) = &baseline else {
-        if args.has("json") {
-            println!("{}", card.to_json());
-        } else {
-            print_scorecard_table(&card, None);
-        }
-        eprintln!(
-            "scorecard: no baseline at {baseline_path}; \
-             run `datareuse scorecard --update-baseline` to create one"
-        );
-        return Ok(());
-    };
-    if args.has("json") {
-        println!("{}", card.compare_json(base));
-    } else {
-        print_scorecard_table(&card, Some(base));
-    }
-    let regressions = card.regressions(base);
-    if !regressions.is_empty() {
-        return Err(CliError::Server {
-            exit: 7,
-            msg: format!(
-                "scorecard: {} metric(s) regressed past the noise band: {}",
-                regressions.len(),
-                regressions.join(", ")
-            ),
-        });
-    }
-    Ok(())
-}
-
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut config = ServerConfig {
         addr: args.flag("addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -1546,8 +1183,6 @@ fn run() -> Result<(), CliError> {
         "codegen" => cmd_codegen(&args),
         "serve" => cmd_serve(&args),
         "bench-serve" => cmd_bench_serve(&args),
-        "bench-corpus" => cmd_bench_corpus(&args),
-        "scorecard" => cmd_scorecard(&args),
         "query" => cmd_query(&args),
         "top" => cmd_top(&args),
         other => Err(usage(format!("unknown command `{other}`"))),
@@ -1561,19 +1196,11 @@ fn cmd_top(args: &Args) -> Result<(), CliError> {
         .map(|v| v.parse().map_err(|_| usage("bad --interval-ms")))
         .transpose()?
         .unwrap_or(1000);
-    // The dashboard's verdict strip judges the live window p99 against
-    // the committed scorecard baseline when one is present in the
-    // working directory; absence just renders a no-baseline strip.
-    let baseline = std::fs::read_to_string("benchmarks/SCORECARD.json")
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| datareuse_obs::Scorecard::from_json(&doc).ok());
     top::run_top(&top::TopOptions {
         addr: addr.to_string(),
         interval: std::time::Duration::from_millis(interval_ms.max(50)),
         once: args.has("once"),
         ascii: args.has("ascii"),
-        baseline,
     })
     .map_err(CliError::Runtime)
 }

@@ -7,9 +7,9 @@
 //! plus eight-level bar characters, with `--ascii` downgrading to a
 //! portable ramp so frames diff cleanly in scripts and golden tests.
 //! `--once` renders a single frame without touching the screen, which
-//! is what `scripts/verify.sh` pins.
+//! is what `crates/cli/tests/serve.rs` pins against a live server.
 
-use datareuse_obs::{Json, Scorecard, Verdict};
+use datareuse_obs::Json;
 use datareuse_server::Client;
 
 /// How `datareuse top` was asked to behave.
@@ -22,8 +22,6 @@ pub struct TopOptions {
     pub once: bool,
     /// Use the ASCII bar ramp instead of Unicode blocks.
     pub ascii: bool,
-    /// Committed scorecard baseline for the frame's verdict strip.
-    pub baseline: Option<Scorecard>,
 }
 
 /// Eight-level ramps, lowest to highest.
@@ -126,11 +124,8 @@ impl SeriesView {
 }
 
 /// Renders one dashboard frame from a parsed `stats` result document.
-/// Pure so tests (and the golden gate) can pin it without a server.
-/// With a scorecard `baseline`, the last line is a one-line verdict
-/// strip judging the live window p99 against the committed
-/// `serve_p99_ns` metric.
-pub fn render_frame(addr: &str, stats: &Json, ascii: bool, baseline: Option<&Scorecard>) -> String {
+/// Pure so tests can pin it without a server.
+pub fn render_frame(addr: &str, stats: &Json, ascii: bool) -> String {
     let derived = |name: &str| stats.get("derived").and_then(|d| d.get(name));
     let num = |name: &str| derived(name).and_then(Json::as_u64).unwrap_or(0);
     let counter = |name: &str| {
@@ -202,17 +197,6 @@ pub fn render_frame(addr: &str, stats: &Json, ascii: bool, baseline: Option<&Sco
         fmt_mb(gauge("alloc_peak_bytes") as f64),
         fmt_mb(view.alloc_rate()),
     ));
-    match baseline.and_then(|b| b.metric("serve_p99_ns")) {
-        Some(base) => {
-            let verdict = Verdict::judge(last_p99 as f64, base.value, base.noise, base.direction);
-            out.push_str(&format!(
-                "scorecard p99 {} vs baseline ({} metrics)\n",
-                verdict.word(),
-                baseline.map_or(0, |b| b.metrics.len()),
-            ));
-        }
-        None => out.push_str("scorecard (no baseline)\n"),
-    }
     out
 }
 
@@ -266,7 +250,7 @@ pub fn run_top(opts: &TopOptions) -> Result<(), String> {
             return Err(format!("stats request failed: {response}"));
         }
         let stats = doc.get("result").ok_or("stats response without result")?;
-        let frame = render_frame(&opts.addr, stats, opts.ascii, opts.baseline.as_ref());
+        let frame = render_frame(&opts.addr, stats, opts.ascii);
         if opts.once {
             print!("{frame}");
             return Ok(());
@@ -307,20 +291,23 @@ mod tests {
                    "hists":{"serve_latency_cold_ns":{"count":5,"p50":1500,"p99":9000}}}]}}"#,
         )
         .unwrap();
-        let frame = render_frame("127.0.0.1:1", &stats, true, None);
-        assert!(frame.contains("requests        9"), "frame:\n{frame}");
-        assert!(frame.contains("hit ratio  75.0%"), "frame:\n{frame}");
-        assert!(frame.contains("p99      "), "frame:\n{frame}");
-        assert!(frame.contains("points   2"), "frame:\n{frame}");
-        // A document without memory gauges renders an all-zero memory
+        let frame = render_frame("127.0.0.1:1", &stats, true);
+        // The whole frame is pinned: ASCII frames stay ANSI-free, and a
+        // document without memory gauges renders an all-zero memory
         // panel rather than dropping the line.
-        assert!(
-            frame.contains("memory   live     0.00MB   peak     0.00MB   alloc     0.00MB/s"),
-            "frame:\n{frame}"
-        );
-        assert!(frame.ends_with("scorecard (no baseline)\n"), "frame:\n{frame}");
-        // ASCII frames stay ANSI-free so golden diffs are stable.
-        assert!(!frame.contains('\x1b'));
+        let want = "\
+datareuse top — 127.0.0.1:1
+requests        9   errors      0   timeouts      0   overloaded      0
+cache    hits      3   misses      1   hit ratio  75.0%
+queue    depth     0 now,     2 peak
+latency  window p50     0.00ms   p99     0.01ms
+req/win  *#
+p50      +#
+p99      :#
+points   2
+memory   live     0.00MB   peak     0.00MB   alloc     0.00MB/s
+";
+        assert_eq!(frame, want);
     }
 
     #[test]
@@ -339,7 +326,7 @@ mod tests {
                    "hists":{"serve_latency_cold_ns":{"count":1,"p50":1,"p99":1}}}]}}"#,
         )
         .unwrap();
-        let frame = render_frame("x", &stats, true, None);
+        let frame = render_frame("x", &stats, true);
         assert!(
             frame.contains("memory   live    12.34MB   peak    56.78MB   alloc     5.00MB/s"),
             "frame:\n{frame}"
@@ -352,7 +339,7 @@ mod tests {
                  "hists":{"serve_latency_cold_ns":{"count":1,"p50":1,"p99":1}}}]}}"#,
         )
         .unwrap();
-        let frame = render_frame("x", &one, true, None);
+        let frame = render_frame("x", &one, true);
         assert!(frame.contains("alloc     0.00MB/s"), "frame:\n{frame}");
     }
 
@@ -368,43 +355,7 @@ mod tests {
     #[test]
     fn a_frame_without_series_points_says_so() {
         let stats = Json::parse(r#"{"derived":{"requests_served":0}}"#).unwrap();
-        let frame = render_frame("x", &stats, true, None);
+        let frame = render_frame("x", &stats, true);
         assert!(frame.contains("(no points scraped yet)"));
-    }
-
-    #[test]
-    fn the_verdict_strip_judges_the_live_p99_against_the_baseline() {
-        let stats = Json::parse(
-            r#"{"series":{"points":[
-                {"seq":0,"counters":{"serve_requests":1},
-                 "hists":{"serve_latency_cold_ns":{"count":1,"p50":900,"p99":1000}}}]}}"#,
-        )
-        .unwrap();
-        let baseline = |p99: f64| {
-            Scorecard::from_json(
-                &Json::parse(&format!(
-                    r#"{{"schema":"datareuse-scorecard-v1","metrics":[
-                        {{"id":"serve_p99_ns","value":{p99},"noise":0.5,
-                          "direction":"lower"}},
-                        {{"id":"other","value":1,"noise":0.1,"direction":"higher"}}]}}"#
-                ))
-                .unwrap(),
-            )
-            .unwrap()
-        };
-        // Live p99 = 1000ns. Baseline 10000 → better; 1000 → within
-        // noise; 100 → regressed. The metric count covers the whole card.
-        for (base_p99, verdict) in
-            [(10000.0, "better"), (1000.0, "within-noise"), (100.0, "regressed")]
-        {
-            let card = baseline(base_p99);
-            let frame = render_frame("x", &stats, true, Some(&card));
-            let want = format!("scorecard p99 {verdict} vs baseline (2 metrics)\n");
-            assert!(frame.ends_with(&want), "want {want:?} in frame:\n{frame}");
-        }
-        // A baseline without the p99 metric degrades to the no-baseline strip.
-        let empty = Scorecard { metrics: Vec::new() };
-        let frame = render_frame("x", &stats, true, Some(&empty));
-        assert!(frame.ends_with("scorecard (no baseline)\n"), "frame:\n{frame}");
     }
 }

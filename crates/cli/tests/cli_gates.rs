@@ -10,11 +10,8 @@
 //!   back to the command's allocator delta (the `alloc: total_bytes N`
 //!   stderr line) within 5% — the same partition invariant, on the
 //!   bytes column.
-//! - `scorecard` exits 7 (and only 7) when a metric regresses past its
-//!   noise band against the baseline, exits 0 against a matching
-//!   baseline, and writes/reads the `datareuse-scorecard-v1` shape.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn bin() -> Command {
@@ -143,118 +140,4 @@ fn profile_out_without_a_path_is_a_usage_error() {
     let output = run(bin().args(["explore", "fir", "--profile-out"]));
     assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr_of(&output));
     assert!(stderr_of(&output).contains("--profile-out expects a file path"));
-}
-
-/// One minimal bench artifact the scorecard can fold: a single group
-/// with one bench.
-fn write_artifact(dir: &Path, group: &str, median_ns: u64) {
-    std::fs::create_dir_all(dir).expect("create bench dir");
-    std::fs::write(
-        dir.join(format!("BENCH_{group}.json")),
-        format!(
-            r#"{{"group":"{group}","benches":[{{"id":"only","samples":3,"median_ns":{median_ns}}}]}}"#,
-        ),
-    )
-    .expect("write bench artifact");
-}
-
-#[test]
-fn scorecard_exits_seven_only_on_a_regression() {
-    let scratch = Scratch::new("scorecard");
-    let bench_dir = scratch.path("benchmarks");
-    write_artifact(&bench_dir, "tiny", 1_000_000);
-    let baseline = scratch.path("SCORECARD.json");
-    let bench_dir = bench_dir.to_str().unwrap().to_string();
-    let baseline_arg = baseline.to_str().unwrap().to_string();
-
-    // Seed the baseline from the same artifacts, then compare: nothing
-    // can regress (committed metrics identical, smoke within its 4x
-    // band on the same machine).
-    let seeded = run(bin().args([
-        "scorecard",
-        "--bench-dir",
-        &bench_dir,
-        "--baseline",
-        &baseline_arg,
-        "--update-baseline",
-    ]));
-    assert!(seeded.status.success(), "seed failed:\n{}", stderr_of(&seeded));
-    let text = std::fs::read_to_string(&baseline).expect("baseline written");
-    assert!(text.starts_with(r#"{"schema":"datareuse-scorecard-v1""#), "baseline: {text}");
-    let clean = run(bin().args([
-        "scorecard",
-        "--json",
-        "--bench-dir",
-        &bench_dir,
-        "--baseline",
-        &baseline_arg,
-    ]));
-    assert_eq!(
-        clean.status.code(),
-        Some(0),
-        "clean compare:\n{}",
-        stderr_of(&clean)
-    );
-    let doc = String::from_utf8_lossy(&clean.stdout).into_owned();
-    assert!(doc.contains(r#""schema":"datareuse-scorecard-v1""#), "doc: {doc}");
-    assert!(doc.contains(r#""id":"suite_tiny_median_ns""#), "doc: {doc}");
-    assert!(doc.contains(r#""id":"smoke_explore_fir_ns""#), "doc: {doc}");
-    // The memory half of the card: allocator-derived metrics ride along
-    // with the timing smokes.
-    for id in [
-        "smoke_alloc_fir_bytes",
-        "smoke_alloc_me_small_bytes",
-        "smoke_alloc_symbolic_ratio",
-        "smoke_serve_live_bytes",
-    ] {
-        assert!(doc.contains(&format!(r#""id":"{id}""#)), "missing {id}: {doc}");
-    }
-    assert!(doc.contains(r#""verdict":"#), "doc: {doc}");
-    assert!(doc.contains(r#""regressed":0"#), "doc: {doc}");
-
-    // Shrink the committed baseline value far below the measured suite
-    // median: lower-is-better, so the unchanged measurement now reads
-    // as a regression and the exit code must be exactly 7.
-    std::fs::write(
-        &baseline,
-        text.replace("1000000", "10"),
-    )
-    .expect("tamper baseline");
-    let regressed = run(bin().args([
-        "scorecard",
-        "--json",
-        "--bench-dir",
-        &bench_dir,
-        "--baseline",
-        &baseline_arg,
-    ]));
-    assert_eq!(
-        regressed.status.code(),
-        Some(7),
-        "tampered compare:\n{}",
-        stderr_of(&regressed)
-    );
-    let doc = String::from_utf8_lossy(&regressed.stdout).into_owned();
-    assert!(doc.contains(r#""verdict":"regressed""#), "doc: {doc}");
-    assert!(
-        stderr_of(&regressed).contains("suite_tiny_median_ns"),
-        "stderr names the regressed metric:\n{}",
-        stderr_of(&regressed)
-    );
-}
-
-#[test]
-fn scorecard_against_a_missing_explicit_baseline_is_a_runtime_error() {
-    let scratch = Scratch::new("scorecard-missing");
-    let bench_dir = scratch.path("benchmarks");
-    write_artifact(&bench_dir, "tiny", 1_000);
-    let output = run(bin().args([
-        "scorecard",
-        "--bench-dir",
-        bench_dir.to_str().unwrap(),
-        "--baseline",
-        scratch.path("nope.json").to_str().unwrap(),
-    ]));
-    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
-    assert!(stderr_of(&output).contains("cannot read baseline"));
 }

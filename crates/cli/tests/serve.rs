@@ -214,11 +214,23 @@ fn repeated_queries_hit_the_cache_and_the_counters_prove_it() {
     let text = std::fs::read_to_string(&metrics).expect("metrics written on shutdown");
     let _ = std::fs::remove_file(&metrics);
     let doc = Json::parse(&text).unwrap();
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("datareuse-metrics-v2")
+    );
     let counters = doc.get("counters").expect("counters section");
     assert!(
         counters.get("serve_cache_hits").and_then(Json::as_u64).unwrap_or(0) >= 1,
         "snapshot records the cache hit: {counters}"
     );
+    // The embedded cold-latency histogram reports ordered percentiles.
+    let cold = doc
+        .get("hists")
+        .and_then(|h| h.get("serve_latency_cold_ns"))
+        .expect("serve_latency_cold_ns histogram");
+    let q = |name: &str| cold.get(name).and_then(Json::as_u64).expect(name);
+    assert!(q("count") >= 1, "{cold}");
+    assert!(q("p50") <= q("p90") && q("p90") <= q("p99"), "{cold}");
 }
 
 #[test]
@@ -494,9 +506,18 @@ fn health_maps_to_exit_codes_and_top_renders_the_series() {
         .expect("top runs");
     assert_eq!(out.status.code(), Some(0), "top --once exits 0");
     let frame = String::from_utf8(out.stdout).unwrap();
-    assert!(frame.contains("datareuse top"), "frame:\n{frame}");
-    assert!(frame.contains("req/win"), "frame has sparklines:\n{frame}");
     assert!(!frame.contains('\x1b'), "--once/--ascii frame is ANSI-free");
+    // The frame's shape: one line per panel, in order, with the scraped
+    // series already plotted as sparklines.
+    let labels: Vec<&str> = frame
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        labels,
+        ["datareuse", "requests", "cache", "queue", "latency", "req/win", "p50", "p99", "points", "memory"],
+        "frame:\n{frame}"
+    );
     server.shutdown();
     // The drain dumped the retained series window as NDJSON.
     let dump = std::fs::read_to_string(&series_path).expect("series dump written");
@@ -745,4 +766,44 @@ fn an_unmeetable_slo_maps_health_to_exit_6() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("health is failing"), "stderr: {stderr}");
     server.shutdown();
+}
+
+/// A reduced `bench-serve` connection ramp: 200 held connections instead
+/// of the committed artifact's 10k. The event loop must still ramp,
+/// saturate, and report the schema `benchmarks/BENCH_serve_scaling.json`
+/// (and the capacity-planning section of docs/SERVING.md) rely on.
+#[test]
+fn bench_serve_ramps_200_connections_and_reports_saturation() {
+    let out_path = std::env::temp_dir().join(format!(
+        "datareuse_bench_serve_{}.json",
+        std::process::id()
+    ));
+    let out = Command::new(env!("CARGO_BIN_EXE_datareuse"))
+        .args(["bench-serve", "--connections", "200", "--out"])
+        .arg(&out_path)
+        .output()
+        .expect("bench-serve runs");
+    assert!(
+        out.status.success(),
+        "bench-serve failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&out_path).expect("artifact written");
+    let _ = std::fs::remove_file(&out_path);
+    let doc = Json::parse(&text).expect("artifact parses");
+    assert_eq!(doc.get("group").and_then(Json::as_str), Some("serve_scaling"));
+    let benches = doc.get("benches").and_then(Json::as_array).expect("benches");
+    let top = benches
+        .iter()
+        .find(|b| b.get("id").and_then(Json::as_str) == Some("conns_00200"))
+        .unwrap_or_else(|| panic!("no conns_00200 rung: {doc}"));
+    assert_eq!(top.get("elements").and_then(Json::as_u64), Some(200));
+    let saturation = doc.get("saturation").expect("saturation object");
+    let rps = saturation.get("rps").and_then(Json::as_f64).expect("rps");
+    assert!(rps > 0.0, "{saturation}");
+    let open = saturation
+        .get("open_connections")
+        .and_then(Json::as_u64)
+        .expect("open_connections");
+    assert!(open >= 200, "server saw only {open} open connections");
 }

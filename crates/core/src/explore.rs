@@ -25,7 +25,7 @@ use crate::pairwise::{max_reuse, PairGeometry};
 use crate::partial::partial_sweep;
 
 /// The per-reason counter behind the aggregate `sim_fallbacks`: each
-/// fallback bumps both, so the prom/scorecard breakdown always sums to
+/// fallback bumps both, so the per-reason breakdown always sums to
 /// the total and says *why* work left the symbolic fast path.
 fn fallback_counter(fallback: SymbolicFallback) -> Counter {
     match fallback {
@@ -126,28 +126,16 @@ fn pair_candidates(
         let exact = !geom.approximate;
         let mut out = Vec::new();
         if let Some(point) = max_reuse(&geom) {
-            out.push(tag_pair(
-                CandidatePoint::from_reuse_point(&point, exact),
-                outer,
-                inner,
-            ));
+            out.push(CandidatePoint::from_reuse_point(&point, exact));
         }
         if opts.include_partial {
             for point in partial_sweep(&geom, false) {
-                out.push(tag_pair(
-                    CandidatePoint::from_reuse_point(&point, exact),
-                    outer,
-                    inner,
-                ));
+                out.push(CandidatePoint::from_reuse_point(&point, exact));
             }
         }
         if opts.include_bypass {
             for point in partial_sweep(&geom, true) {
-                out.push(tag_pair(
-                    CandidatePoint::from_reuse_point(&point, exact),
-                    outer,
-                    inner,
-                ));
+                out.push(CandidatePoint::from_reuse_point(&point, exact));
             }
         }
         // The pair's geometry annotates every point it produced; skipped
@@ -164,15 +152,6 @@ fn pair_candidates(
         points.extend(pts);
     }
     (points, annots)
-}
-
-// Candidate sources from the pairwise model do not record the pair; for
-// cross-group alignment we only rely on source equality, which is
-// sufficient because structurally identical nests produce identical
-// source streams in identical order. `tag_pair` is the seam where a pair
-// id could be added if finer alignment is ever needed.
-fn tag_pair(candidate: CandidatePoint, _outer: usize, _inner: usize) -> CandidatePoint {
-    candidate
 }
 
 /// Explores all read accesses to `array` in `program`.
@@ -691,8 +670,8 @@ mod tests {
         use datareuse_obs::{counter_value, set_metrics_enabled};
         // An access with a non-separable guard leaves the symbolic path
         // with the `Guarded` classification; the aggregate counter and its
-        // per-reason breakdown must move together so the prom/scorecard
-        // breakdown always sums to `sim_fallbacks`.
+        // per-reason breakdown must move together so the breakdown always
+        // sums to `sim_fallbacks`.
         let p = parse_program(
             "array A[23]; for j in 0..16 { for k in 0..8 { read A[j + k] if j != k; } }",
         )

@@ -11,9 +11,8 @@
 //! produces the same names, sizes, and expressions (pinned by the
 //! property tests), so corpus names are stable registry keys. Each
 //! family leads with one fixed flagship instance — `gen-matmul-32x32x32`,
-//! `gen-conv2d-32x32x3`, `gen-stencil2d-32x32`, … — that tests and
-//! `scripts/verify.sh` can reference by name, followed by seed-drawn
-//! size variants.
+//! `gen-conv2d-32x32x3`, `gen-stencil2d-32x32`, … — that tests can
+//! reference by name, followed by seed-drawn size variants.
 
 use std::sync::OnceLock;
 

@@ -12,9 +12,8 @@
 //! Tracking is always on: the accounting per operation is a handful of
 //! `Relaxed` atomic adds and one thread-local `Cell` bump (no locks, no
 //! allocation, no syscalls), so the wrapper stays invisible next to the
-//! cost of the underlying `malloc` — `scripts/verify.sh` gates that the
-//! fir explore latency with tracking enabled holds the scorecard's noise
-//! band. The monotone tallies shard across [`AllocTally::SHARDS`]
+//! cost of the underlying `malloc`. The monotone tallies shard across
+//! [`AllocTally::SHARDS`]
 //! cache-line-padded slots keyed by a per-thread value, so parallel
 //! sweeps do not serialize on one hot line; the live level and peak are
 //! single atomics because the peak must observe every level change.
@@ -270,9 +269,14 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::test_lock;
 
     #[test]
     fn the_global_tally_sees_a_big_allocation() {
+        // Sibling tests call `reset_metrics()`, which zeroes the global
+        // accumulators; a reset between the two snapshots would read as
+        // a missed allocation.
+        let _guard = test_lock::hold();
         let before = alloc_snapshot();
         let buf = vec![7u8; 4 << 20];
         let after = alloc_snapshot();

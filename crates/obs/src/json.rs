@@ -1,8 +1,8 @@
 //! The workspace's hand-rolled JSON value: writer and reader.
 //!
 //! The workspace is hermetic (standard library only, no crates.io), so
-//! every machine-readable artifact — exploration reports, `BENCH_*.json`
-//! timings, `METRICS_*.json` snapshots — goes through this one small
+//! every machine-readable artifact — exploration reports, bench
+//! artifacts, `METRICS_*.json` snapshots — goes through this one small
 //! [`Json`] type instead of a serde derive. It lives in `datareuse-obs`
 //! (the dependency-free leaf crate) so both the observability registry and
 //! the model crates can use it; `datareuse_core::Json` re-exports it

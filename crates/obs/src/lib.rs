@@ -42,11 +42,6 @@
 //!   collapsed-stack text; [`memprofile_json`] and
 //!   [`collapsed_alloc_stacks`] export the same tree weighted by
 //!   self-allocated bytes (`datareuse-memprofile-v1`).
-//! - **Scorecard** ([`Scorecard`], [`fold_bench_artifacts`],
-//!   [`Verdict`]) — folds committed benchmark artifacts plus a fresh
-//!   smoke sweep into one `datareuse-scorecard-v1` roll-up with
-//!   per-metric `better|within-noise|regressed` verdicts against a
-//!   committed baseline.
 //! - **Snapshots** ([`snapshot`], [`MetricsSnapshot`]) — serialize the
 //!   registry to the workspace's hand-rolled [`Json`] as a
 //!   `METRICS_*.json` artifact (schema `datareuse-metrics-v2`, embedding
@@ -97,7 +92,6 @@ mod metrics;
 mod profile;
 mod progress;
 mod prom;
-mod scorecard;
 mod span;
 mod timeseries;
 mod tracing;
@@ -122,10 +116,6 @@ pub use profile::{
 };
 pub use progress::Progress;
 pub use prom::prometheus_text;
-pub use scorecard::{
-    fold_bench_artifacts, record_smoke_metric, smoke_metrics, Direction, Metric, Scorecard,
-    Verdict, NOISE_RATE, NOISE_SMOKE, NOISE_SPEEDUP, NOISE_TIMING, SCORECARD_SCHEMA,
-};
 pub use span::{span, SpanGuard};
 pub use timeseries::{
     reset_series, scrape_series, series_json, series_len, series_ndjson, series_points,

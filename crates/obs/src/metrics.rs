@@ -307,7 +307,7 @@ pub fn record_worker_items(items: u64) {
 
 /// Clears the entire registry — counters, gauges, spans, worker-load
 /// records, latency histograms, the flight recorder, buffered trace
-/// events, scorecard smoke-run state, and the allocator's monotone
+/// events, and the allocator's monotone
 /// accumulators (the live-byte level survives, since that memory is
 /// still resident, and the peak resets to the current live level) — and
 /// turns recording (metrics *and* tracing) off. Clearing the spans also empties the derived
@@ -332,7 +332,6 @@ pub fn reset_metrics() {
     crate::hist::reset_hists();
     crate::flight::reset_flight();
     crate::tracing::reset_tracing();
-    crate::scorecard::reset_scorecard_smoke();
     // Under the same call as the counter wipe so a scraper thread racing
     // this reset sees either (old counters, old baseline) or (zeroed
     // counters, zeroed baseline) — never a stale baseline above fresh
@@ -657,22 +656,15 @@ mod tests {
         {
             let _span = crate::span("reset_probe");
         }
-        crate::record_smoke_metric(crate::Metric::new(
-            "smoke_probe",
-            1.0,
-            0.1,
-            crate::Direction::LowerIsBetter,
-        ));
         assert!(!crate::profile_rows().is_empty());
         reset_metrics();
         assert_eq!(snapshot().hist(Hist::ServeLatencyCold).unwrap().count, 0);
         assert!(crate::flight_tail(16).is_empty());
         assert_eq!(gauge_value(Gauge::ServeQueueDepth), 0);
-        // The derived profiler view and the scorecard's smoke-run state
-        // are wiped too: a reused process starts from a clean slate.
+        // The derived profiler view is wiped too: a reused process
+        // starts from a clean slate.
         assert!(crate::profile_rows().is_empty());
         assert!(crate::collapsed_stacks().is_empty());
-        assert!(crate::smoke_metrics().is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! The renderer iterates the snapshot's own vectors — which are built
 //! from `Counter::ALL` / `Gauge::ALL` / `Hist::ALL` — so a newly added
 //! enum variant shows up in the scrape automatically; the unit test
-//! below (and a verify.sh gate) fail on any drift between the enums and
-//! the exposition output.
+//! below fails on any drift between the enums and the exposition
+//! output.
 
 use crate::metrics::MetricsSnapshot;
 

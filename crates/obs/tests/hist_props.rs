@@ -1,8 +1,8 @@
 //! Property tests of the latency histogram and the Chrome trace export.
 //!
 //! The histogram is the only lossy structure on the serving path — the
-//! percentiles it reports feed `BENCH_serve` columns and the verify.sh
-//! p50≤p90≤p99 gate — so its invariants are pinned over the *whole*
+//! percentiles it reports feed the `stats` op, the series ring and the
+//! `--metrics` snapshot — so its invariants are pinned over the *whole*
 //! `u64` domain, not just plausible nanosecond values. All cases run
 //! from fixed seeds (see `datareuse-proptest`); failures reproduce from
 //! the printed `(seed, case)` pair.
@@ -151,9 +151,9 @@ fn histogram_json_is_parseable_and_consistent() {
 
 #[test]
 fn merged_histogram_percentiles_stay_monotone_and_in_range() {
-    // The scorecard and the series ring both consume *merged* snapshots
-    // (shard merges, window differences), so monotonicity must survive
-    // the merge, not just a single-recorder histogram.
+    // The series ring consumes *merged* snapshots (shard merges, window
+    // differences), so monotonicity must survive the merge, not just a
+    // single-recorder histogram.
     check(
         "hist_merged_percentile_monotone",
         &Config::default(),

@@ -4,6 +4,11 @@
 # CARGO_NET_OFFLINE=1 makes any accidental reintroduction of a crates.io
 # dependency fail immediately: this workspace builds from the standard
 # library alone (see README "Zero dependencies").
+#
+# Every gate lives in a Rust test: the serving smoke, doc drift, explain
+# tallies, cross-validation, profiler exports, the bench-serve ramp and
+# the compiled codegen self-checks all run under `cargo test`. The
+# end-to-end benchmark is drbench (crates/bench/src/bin/drbench/run.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,441 +16,12 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=1
 
 cargo build --release --workspace
-cargo test -q
 
-# Docs must stay warning-free (missing_docs is denied in core and obs) and
-# the doctests across every crate must run — the workspace flag includes
-# each member's unit, integration, and documentation tests.
+# The workspace flag runs each member's unit, integration, and
+# documentation tests, the root facade's included.
 cargo test -q --workspace
+
+# Docs must stay warning-free (missing_docs is denied in core and obs).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-# Doc-drift gate: the operator runbook (docs/SERVING.md) and the
-# metrics reference (docs/OBSERVABILITY.md) are checked against the
-# code-side enumerations — wire ops, the full counter/gauge/histogram
-# registry, error codes, query exit codes — so they cannot rot
-# silently. This already ran under `cargo test` above; run it by name
-# so a drift failure is unmistakable in CI output.
-cargo test -q --test doc_drift
-echo "doc drift gate passed (docs/SERVING.md and docs/OBSERVABILITY.md match the code)"
-
-# Serving smoke test: start the daemon on an ephemeral port, prove the
-# second identical query is a cache hit, and check it drains and exits 0
-# on `shutdown` within a timeout. Tracing is on (--trace-out) so the
-# drain also exercises the Chrome trace export.
-SERVE_METRICS="$(mktemp)"
-SERVE_LOG="$(mktemp)"
-SERVE_TRACE="$(mktemp)"
-SERVE_PROM="$(mktemp)"
-SERVE_SERIES="$(mktemp)"
-TOP_FRAME="$(mktemp)"
-target/release/datareuse serve --addr 127.0.0.1:0 --metrics "$SERVE_METRICS" \
-    --trace-out "$SERVE_TRACE" --series-out "$SERVE_SERIES" \
-    --scrape-ms 50 > "$SERVE_LOG" &
-SERVE_PID=$!
-ADDR=""
-i=0
-while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's/^datareuse-serve: listening on //p' "$SERVE_LOG")"
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$ADDR" ]; then
-    echo "serve smoke: daemon never reported its address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
-SMOKE_REQ='{"op":"explore","kernel":"me-small","array":"Old"}'
-target/release/datareuse query --addr "$ADDR" "$SMOKE_REQ" \
-    | grep -q '"cached":false'
-target/release/datareuse query --addr "$ADDR" "$SMOKE_REQ" \
-    | grep -q '"cached":true'
-# Scrape the Prometheus exposition while the daemon is still up.
-target/release/datareuse query --addr "$ADDR" '{"op":"prom"}' > "$SERVE_PROM"
-
-# Memstats smoke: the allocator accounting op must answer inline with
-# the v1 schema, nonzero allocator traffic, and the serve section that
-# splits computed leaders from coalesced followers.
-MEMSTATS="$(mktemp)"
-target/release/datareuse query --addr "$ADDR" '{"op":"memstats"}' > "$MEMSTATS"
-for needle in '"schema":"datareuse-memstats-v1"' '"allocator":' \
-    '"bytes_allocated":' '"live_bytes":' '"peak_bytes":' \
-    '"computed":' '"coalesced_followers":'; do
-    if ! grep -qF "$needle" "$MEMSTATS"; then
-        echo "serve smoke: memstats response lacks $needle" >&2
-        cat "$MEMSTATS" >&2
-        exit 1
-    fi
-done
-if grep -qF '"bytes_allocated":0,' "$MEMSTATS"; then
-    echo "serve smoke: memstats reports a zero-allocation server" >&2
-    exit 1
-fi
-rm -f "$MEMSTATS"
-
-# Health gate: a freshly exercised daemon under default SLOs must grade
-# ok, and the probe contract is the exit code itself (0 ok, 5 degraded,
-# 6 failing) — under `set -e` a degraded/failing grade aborts here.
-target/release/datareuse query --addr "$ADDR" '{"op":"health"}' \
-    | grep -q '"status":"ok"'
-
-# Dashboard gate: one `top` frame over the live series. Give the 50ms
-# scraper a beat so the sparklines have points, then diff the frame's
-# shape — numbers collapsed to N, sparkline cells to SPARK — against
-# the golden skeleton. `--once --ascii` output must carry no ANSI.
-sleep 0.3
-target/release/datareuse top --addr "$ADDR" --once --ascii > "$TOP_FRAME"
-if grep -q "$(printf '\033')" "$TOP_FRAME"; then
-    echo "serve smoke: top --once --ascii emitted ANSI escapes" >&2
-    exit 1
-fi
-sed -e "s|$ADDR|ADDR|" \
-    -e 's/  */ /g' \
-    -e 's/[0-9][0-9.]*/N/g' \
-    -e 's/[_.:=+*#-]\{1,\}$/SPARK/' \
-    -e 's/within-noise/VERDICT/' \
-    -e 's/better/VERDICT/' \
-    -e 's/regressed/VERDICT/' "$TOP_FRAME" > "$TOP_FRAME.norm"
-cat > "$TOP_FRAME.golden" <<'EOF'
-datareuse top — ADDR
-requests N errors N timeouts N overloaded N
-cache hits N misses N hit ratio N%
-queue depth N now, N peak
-latency window pN Nms pN Nms
-req/win SPARK
-pN SPARK
-pN SPARK
-points N
-memory live NMB peak NMB alloc NMB/s
-scorecard pN VERDICT vs baseline (N metrics)
-EOF
-if ! diff -u "$TOP_FRAME.golden" "$TOP_FRAME.norm"; then
-    echo "serve smoke: top frame shape drifted from the golden skeleton" >&2
-    echo "--- raw frame ---" >&2
-    cat "$TOP_FRAME" >&2
-    exit 1
-fi
-
-target/release/datareuse query --addr "$ADDR" '{"op":"shutdown"}' > /dev/null
-i=0
-while kill -0 "$SERVE_PID" 2>/dev/null; do
-    if [ $i -ge 100 ]; then
-        echo "serve smoke: daemon did not drain within 10s" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-wait "$SERVE_PID"   # fails the script if the daemon exited nonzero
-grep -q '"serve_cache_hits":[1-9]' "$SERVE_METRICS"
-
-# The metrics artifact is a v2 snapshot whose embedded serve-latency
-# histogram must report ordered percentiles.
-grep -q '"schema":"datareuse-metrics-v2"' "$SERVE_METRICS"
-hist_q() {
-    sed -n 's/.*"serve_latency_cold_ns":{[^}]*"'"$1"'":\([0-9]*\).*/\1/p' \
-        "$SERVE_METRICS"
-}
-P50="$(hist_q p50)"; P90="$(hist_q p90)"; P99="$(hist_q p99)"
-if [ -z "$P50" ] || [ "$P50" -gt "$P90" ] || [ "$P90" -gt "$P99" ]; then
-    echo "serve smoke: cold-latency percentiles missing or unordered" \
-        "(p50=$P50 p90=$P90 p99=$P99)" >&2
-    exit 1
-fi
-
-# The Chrome trace written at drain must hold at least one complete
-# request/execute span pair with ids (loadable in Perfetto as-is).
-for needle in '"traceEvents":[{' '"ph":"X"' '"name":"request"' \
-    '"name":"execute"' '"trace_id":"' '"parent_span":'; do
-    if ! grep -qF "$needle" "$SERVE_TRACE"; then
-        echo "serve smoke: trace output lacks $needle" >&2
-        exit 1
-    fi
-done
-
-# Exposition drift gate: every counter the registry reported in the
-# snapshot must appear in the Prometheus scrape, plus at least one
-# histogram bucket series. A Counter variant added without a prom row
-# (or renamed in one place only) fails here.
-COUNTERS="$(sed -n 's/.*"counters":{\([^}]*\)}.*/\1/p' "$SERVE_METRICS" \
-    | tr ',' '\n' | sed -n 's/^"\([a-z0-9_]*\)":.*/\1/p')"
-if [ -z "$COUNTERS" ]; then
-    echo "serve smoke: no counters found in metrics snapshot" >&2
-    exit 1
-fi
-for name in $COUNTERS; do
-    if ! grep -qF "datareuse_$name " "$SERVE_PROM"; then
-        echo "serve smoke: prom scrape is missing counter $name" >&2
-        exit 1
-    fi
-done
-grep -qF '_bucket{le=' "$SERVE_PROM"
-
-# The series dump written at drain must be parseable NDJSON with at
-# least one scraped point carrying counters.
-if ! [ -s "$SERVE_SERIES" ]; then
-    echo "serve smoke: --series-out wrote no points" >&2
-    exit 1
-fi
-grep -q '"counters"' "$SERVE_SERIES"
-
-rm -f "$SERVE_METRICS" "$SERVE_LOG" "$SERVE_TRACE" "$SERVE_PROM" \
-    "$SERVE_SERIES" "$TOP_FRAME" "$TOP_FRAME.norm" "$TOP_FRAME.golden"
-echo "serve smoke test passed"
-
-# Explain gate: the audit log must be line-delimited JSON whose
-# candidate-summary tallies account for every candidate record — the
-# same completeness invariant the property tests pin, checked here on
-# the shipped binary.
-EXPLAIN_LOG="$(mktemp)"
-target/release/datareuse explore fir --explain "$EXPLAIN_LOG" > /dev/null
-BAD_LINES="$(grep -cv '^{"record":"[a-z-]*",.*}$' "$EXPLAIN_LOG" || true)"
-if [ "$BAD_LINES" -ne 0 ]; then
-    echo "explain gate: $BAD_LINES line(s) are not well-formed records" >&2
-    exit 1
-fi
-CANDIDATES="$(grep -c '"record":"candidate",' "$EXPLAIN_LOG")"
-SUMMARY="$(grep '"record":"candidate-summary"' "$EXPLAIN_LOG" | head -n 1)"
-tally() {
-    printf '%s\n' "$SUMMARY" | sed -n 's/.*"'"$1"'":\([0-9]*\).*/\1/p'
-}
-OFFERED="$(tally offered)"
-ACCOUNTED="$(( $(tally kept) + $(tally bypass) + $(tally pruned) + $(tally dominated) ))"
-if [ -z "$OFFERED" ] || [ "$ACCOUNTED" -ne "$CANDIDATES" ] \
-    || [ "$OFFERED" -ne "$CANDIDATES" ]; then
-    echo "explain gate: verdicts do not cover the candidate pool" \
-        "(records=$CANDIDATES offered=$OFFERED accounted=$ACCOUNTED)" >&2
-    exit 1
-fi
-rm -f "$EXPLAIN_LOG"
-echo "explain gate passed ($CANDIDATES candidates, every verdict accounted)"
-
-# Symbolic cross-validation gate: the analytical (symbolic-first) explore
-# path must agree with the Belady trace oracle on the shipped kernels.
-# `--cross-validate` replays every exact candidate through the simulator
-# and exits nonzero on any disagreement.
-for kernel in me-small fir; do
-    XVAL_ERR="$(mktemp)"
-    target/release/datareuse explore "$kernel" --cross-validate \
-        > /dev/null 2> "$XVAL_ERR"
-    if ! grep -q 'cross-validation: PASS' "$XVAL_ERR"; then
-        echo "cross-validation gate: $kernel did not report PASS" >&2
-        cat "$XVAL_ERR" >&2
-        exit 1
-    fi
-    rm -f "$XVAL_ERR"
-done
-echo "cross-validation gate passed (me-small, fir)"
-
-# Committed bench-baseline gate: every benchmark group must have a
-# checked-in BENCH_<group>.json under benchmarks/ that at least looks
-# like a harness artifact (the full Json::parse + schema check runs in
-# tests/bench_artifacts.rs under `cargo test` above).
-for group in analytical_vs_simulation batch_and_hierarchy corpus \
-    model_stages pareto_and_codegen policies serve_latency serve_ops \
-    serve_scaling serve_throughput stack_distances symbolic_vs_simulation; do
-    ARTIFACT="benchmarks/BENCH_$group.json"
-    if ! [ -s "$ARTIFACT" ]; then
-        echo "bench gate: missing committed baseline $ARTIFACT" >&2
-        exit 1
-    fi
-    if ! grep -q '"group":"'"$group"'"' "$ARTIFACT" \
-        || ! grep -q '"median_ns":' "$ARTIFACT"; then
-        echo "bench gate: $ARTIFACT does not look like a harness artifact" >&2
-        exit 1
-    fi
-done
-echo "bench baseline gate passed (benchmarks/BENCH_*.json present)"
-
-# Scorecard regression gate: fold the committed baselines plus a fresh
-# smoke sweep into the roll-up and judge every metric against the
-# committed benchmarks/SCORECARD.json. Exit 7 is the sentinel's
-# regression verdict; any nonzero exit fails tier-1. The compared
-# document is kept for the memory gates below.
-SCORECARD_DOC="$(mktemp)"
-if target/release/datareuse scorecard --json \
-    --baseline benchmarks/SCORECARD.json > "$SCORECARD_DOC"; then
-    echo "scorecard gate passed (no metric regressed past its noise band)"
-else
-    RC=$?
-    if [ "$RC" -eq 7 ]; then
-        echo "scorecard gate: a metric regressed past its noise band" \
-            "(rebaseline deliberately with --update-baseline)" >&2
-    else
-        echo "scorecard gate: datareuse scorecard failed (exit $RC)" >&2
-    fi
-    exit 1
-fi
-
-# Alloc-budget gate: the memory half of the scorecard must exist in
-# both the fresh measurement and the committed baseline — the exit-7
-# check above already judged each one against its noise band, so
-# presence here means allocation budgets are actively enforced.
-for id in smoke_alloc_fir_bytes smoke_alloc_me_small_bytes \
-    smoke_alloc_symbolic_ratio smoke_serve_live_bytes; do
-    if ! grep -qF "\"id\":\"$id\"" "$SCORECARD_DOC"; then
-        echo "alloc-budget gate: fresh scorecard lacks $id" >&2
-        exit 1
-    fi
-    if ! grep -qF "\"id\":\"$id\"" benchmarks/SCORECARD.json; then
-        echo "alloc-budget gate: committed baseline lacks $id" \
-            "(reseed with --update-baseline)" >&2
-        exit 1
-    fi
-done
-echo "alloc-budget gate passed (4 memory metrics measured and baselined)"
-
-# Tracking-overhead gate: the allocator wrapper is always on, so the
-# fir explore smoke measured just above already includes its cost. It
-# must not have pushed the latency past the committed noise band —
-# i.e. the tracking overhead is within measurement noise.
-FIR_VERDICT="$(sed -n \
-    's/.*"id":"smoke_explore_fir_ns"[^}]*"verdict":"\([a-z-]*\)".*/\1/p' \
-    "$SCORECARD_DOC")"
-case "$FIR_VERDICT" in
-    better|within-noise)
-        echo "tracking-overhead gate passed" \
-            "(fir explore with allocator tracking: $FIR_VERDICT)"
-        ;;
-    *)
-        echo "tracking-overhead gate: fir explore smoke verdict is" \
-            "'$FIR_VERDICT' — allocator tracking cost is visible" >&2
-        exit 1
-        ;;
-esac
-rm -f "$SCORECARD_DOC"
-
-# Tamper tripwire: shrinking a committed memory budget must trip the
-# sentinel. Drop the smoke_alloc_fir_bytes baseline to one byte
-# (lower-is-better, so the unchanged measurement now reads as a
-# regression) and require exit code exactly 7.
-TAMPERED="$(mktemp)"
-sed 's/\("id":"smoke_alloc_fir_bytes","value":\)[0-9.eE+-]*/\11/' \
-    benchmarks/SCORECARD.json > "$TAMPERED"
-if ! grep -qF '"value":1,' "$TAMPERED"; then
-    echo "alloc tamper tripwire: could not tamper the baseline value" >&2
-    exit 1
-fi
-set +e
-target/release/datareuse scorecard --baseline "$TAMPERED" \
-    > /dev/null 2> /dev/null
-TAMPER_RC=$?
-set -e
-if [ "$TAMPER_RC" -ne 7 ]; then
-    echo "alloc tamper tripwire: tampered baseline exited $TAMPER_RC," \
-        "expected the regression sentinel's exit 7" >&2
-    exit 1
-fi
-rm -f "$TAMPERED"
-echo "alloc tamper tripwire passed (shrunken byte budget exits 7)"
-
-# Profiler smoke: --profile-out must write a non-empty collapsed-stack
-# export rooted at the `run` span (the 5% wall-time partition invariant
-# is pinned by crates/cli/tests/cli_gates.rs under `cargo test` above).
-PROFILE_OUT="$(mktemp)"
-target/release/datareuse explore fir --profile-out "$PROFILE_OUT" \
-    > /dev/null 2> /dev/null
-if ! grep -q '^run.* [0-9][0-9]*$' "$PROFILE_OUT"; then
-    echo "profiler smoke: no \`run\`-rooted collapsed stack in --profile-out" >&2
-    cat "$PROFILE_OUT" >&2
-    exit 1
-fi
-rm -f "$PROFILE_OUT"
-echo "profiler smoke passed (collapsed-stack export is run-rooted)"
-
-# Memory-profiler smoke: --alloc-profile must write a memprofile-v1
-# document rooted at the `run` span with a nonzero byte total (the 5%
-# self-bytes partition invariant is pinned by
-# crates/cli/tests/cli_gates.rs under `cargo test` above).
-ALLOC_OUT="$(mktemp)"
-ALLOC_ERR="$(mktemp)"
-target/release/datareuse explore fir --alloc-profile "$ALLOC_OUT" \
-    > /dev/null 2> "$ALLOC_ERR"
-for needle in '"schema":"datareuse-memprofile-v1"' '"path":"run"' \
-    '"self_bytes":'; do
-    if ! grep -qF "$needle" "$ALLOC_OUT"; then
-        echo "memory-profiler smoke: --alloc-profile output lacks $needle" >&2
-        cat "$ALLOC_OUT" >&2
-        exit 1
-    fi
-done
-if ! grep -q '^alloc: total_bytes [1-9]' "$ALLOC_ERR"; then
-    echo "memory-profiler smoke: no nonzero \`alloc: total_bytes\` line" >&2
-    cat "$ALLOC_ERR" >&2
-    exit 1
-fi
-rm -f "$ALLOC_OUT" "$ALLOC_ERR"
-echo "memory-profiler smoke passed (memprofile export is run-rooted)"
-
-# Bench-regression guard: re-measure the symbolic-vs-simulation ratio
-# fresh (short budget — this is a regression tripwire, not a baseline)
-# and require the closed-form profile to stay >=10x faster than one
-# trace-simulation point on the depth-3 nest.
-DATAREUSE_BENCH_BUDGET_MS=20 DATAREUSE_BENCH_SAMPLES=5 \
-    cargo bench -p datareuse-bench --bench symbolic > /dev/null
-FRESH="crates/bench/target/figures/BENCH_symbolic_vs_simulation.json"
-bench_median() {
-    sed -n 's/.*"id":"'"$1"'"[^}]*"median_ns":\([0-9.eE+-]*\).*/\1/p' "$FRESH"
-}
-SYM_NS="$(bench_median symbolic_profile_depth3)"
-SIM_NS="$(bench_median simulate_one_point_depth3)"
-if [ -z "$SYM_NS" ] || [ -z "$SIM_NS" ]; then
-    echo "bench gate: could not read medians from $FRESH" >&2
-    exit 1
-fi
-if ! awk -v sim="$SIM_NS" -v sym="$SYM_NS" 'BEGIN { exit !(sim >= 10 * sym) }'; then
-    echo "bench gate: symbolic profile is not >=10x faster than" \
-        "simulation (symbolic=$SYM_NS ns, simulate=$SIM_NS ns)" >&2
-    exit 1
-fi
-echo "bench regression guard passed (symbolic $SYM_NS ns vs simulate $SIM_NS ns)"
-
-# Serve-scaling guard: re-run a reduced connection ramp fresh (the
-# committed benchmarks/BENCH_serve_scaling.json comes from a full
-# 10k-connection run; this tripwire holds 200 and proves the event loop
-# still ramps, saturates, and reports the schema bench_artifacts.rs
-# pins on the big artifact).
-SCALING_FRESH="$(mktemp)"
-target/release/datareuse bench-serve --connections 200 \
-    --out "$SCALING_FRESH" 2> /dev/null
-for needle in '"group":"serve_scaling"' '"id":"conns_00200"' \
-    '"saturation":' '"rps":' '"open_connections":'; do
-    if ! grep -qF "$needle" "$SCALING_FRESH"; then
-        echo "serve-scaling guard: fresh ramp output lacks $needle" >&2
-        cat "$SCALING_FRESH" >&2
-        exit 1
-    fi
-done
-rm -f "$SCALING_FRESH"
-echo "serve-scaling guard passed (fresh 200-connection ramp)"
-
-# Rust-selfcheck gate: the Rust emitter's output must actually compile
-# and run. For three corpus kernels, emit the self-checking band-copy
-# program (original nest vs transformed access stream, checksummed),
-# build it with bare rustc, and require the OK verdict. The same check
-# runs wider in tests/rust_selfcheck.rs; this proves it on the shipped
-# binary's `codegen --rust` path.
-RUSTGEN_DIR="$(mktemp -d)"
-for spec in "gen-matmul-32x32x32 A" "gen-conv2d-32x32x3 image" \
-    "gen-stencil2d-32x32 img"; do
-    kernel="${spec% *}"
-    array="${spec#* }"
-    RS="$RUSTGEN_DIR/check.rs"
-    BIN="$RUSTGEN_DIR/check"
-    target/release/datareuse codegen "$kernel" --array "$array" \
-        --band 1 --rust > "$RS"
-    rustc -O --edition 2021 -o "$BIN" "$RS"
-    VERDICT="$("$BIN")"
-    case "$VERDICT" in
-        OK\ *) ;;
-        *)
-            echo "rust-selfcheck gate: $kernel band copy failed: $VERDICT" >&2
-            exit 1
-            ;;
-    esac
-done
-rm -rf "$RUSTGEN_DIR"
-echo "rust-selfcheck gate passed (3 corpus kernels compiled and verified)"
 
 echo "tier-1 verification passed"

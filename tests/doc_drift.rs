@@ -6,8 +6,8 @@
 //! `Gauge::ALL`, `Hist::ALL`, the `E_*` error codes, the CLI usage
 //! text), so documentation rot is checkable: every name the code
 //! exposes must appear in the runbook, and every op section in the
-//! runbook must name a real wire op. `scripts/verify.sh` runs this
-//! test; adding an op or a serve counter without documenting it fails
+//! runbook must name a real wire op. `cargo test` runs this test;
+//! adding an op or a serve counter without documenting it fails
 //! the build, as does documenting an op that no longer exists.
 
 use std::fs;
@@ -129,7 +129,7 @@ fn the_usage_text_and_docs_cover_the_expression_workflow() {
     let usage = &cli[usage_start..cli[usage_start..]
         .find("\";")
         .map_or(cli.len(), |e| usage_start + e)];
-    for needle in ["bench-corpus", "--expr", "--rust", "kernels [--json]"] {
+    for needle in ["gen-matmul-32x32x32", "--expr", "--rust", "kernels [--json]"] {
         assert!(
             usage.contains(needle),
             "usage text does not mention `{needle}`"
@@ -149,10 +149,12 @@ fn the_usage_text_and_docs_cover_the_expression_workflow() {
         );
     }
     let experiments = repo_file("EXPERIMENTS.md");
-    assert!(
-        experiments.contains("bench-corpus"),
-        "EXPERIMENTS.md does not walk through the corpus sweep"
-    );
+    for needle in ["every_corpus_kernel_stays_symbolic", "explore-conforming"] {
+        assert!(
+            experiments.contains(needle),
+            "EXPERIMENTS.md does not walk through the corpus sweep (`{needle}`)"
+        );
+    }
 }
 
 #[test]
@@ -190,19 +192,13 @@ fn every_metric_in_code_is_documented_in_the_observability_guide() {
 }
 
 #[test]
-fn the_usage_text_and_observability_guide_cover_the_profiler_and_scorecard() {
+fn the_usage_text_and_observability_guide_cover_the_profiler() {
     let cli = repo_file("crates/cli/src/main.rs");
     let usage_start = cli.find("const USAGE:").expect("usage text present");
     let usage = &cli[usage_start..cli[usage_start..]
         .find("\";")
         .map_or(cli.len(), |e| usage_start + e)];
-    for needle in [
-        "scorecard",
-        "--profile-out",
-        "--alloc-profile",
-        "--update-baseline",
-        "--baseline",
-    ] {
+    for needle in ["--profile-out", "--alloc-profile"] {
         assert!(
             usage.contains(needle),
             "usage text does not mention `{needle}`"
@@ -216,17 +212,10 @@ fn the_usage_text_and_observability_guide_cover_the_profiler_and_scorecard() {
         "datareuse-memprofile-v1",
         "memstats",
         "datareuse-memstats-v1",
-        "smoke_alloc_fir_bytes",
-        "smoke_alloc_me_small_bytes",
-        "smoke_alloc_symbolic_ratio",
-        "smoke_serve_live_bytes",
-        "datareuse-scorecard-v1",
         "datareuse-metrics-v2",
         "datareuse-series-v1",
-        "benchmarks/SCORECARD.json",
-        "--update-baseline",
-        "exit 7",
-        "within-noise",
+        "drbench",
+        "alloc_kb_per_op",
     ] {
         assert!(
             doc.contains(needle),

@@ -16,7 +16,7 @@ use datareuse_proptest::{check, prop_assert, prop_assert_eq, Config, Rng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use datareuse::kernels::load_kernel;
-use datareuse::loopir::trace_len;
+use datareuse::loopir::{trace_len, AccessKind};
 use datareuse::model::{
     footprint_levels, symbolic_profile, LevelCandidate, SymbolicFallback, SymbolicProfile,
 };
@@ -471,6 +471,87 @@ fn susan_groups_stay_symbolic_and_match_enumeration() {
             }
         }
         assert_eq!(c_tot, trace_len(&program, "image", TraceFilter::READS), "{kernel}");
+    }
+}
+
+/// The einsum lowerer only emits conforming affine nests, so every read
+/// group of every generated corpus kernel, and every merged group of
+/// translated reads, takes the symbolic path. A fallback here is a
+/// regression in the lowerer or in the dispatch boundary.
+#[test]
+fn every_corpus_kernel_stays_symbolic() {
+    let corpus = datareuse::kernels::corpus();
+    assert_eq!(corpus.len(), 36, "the default-seed corpus has 36 kernels");
+    for entry in corpus {
+        let program = load_kernel(&entry.name).unwrap();
+        for nest in program.nests() {
+            for array in program.arrays() {
+                let reads: Vec<usize> = nest
+                    .accesses()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.array() == array.name() && a.kind() == AccessKind::Read)
+                    .map(|(i, _)| i)
+                    .collect();
+                for &i in &reads {
+                    if let Err(f) = symbolic_profile(nest, i) {
+                        panic!("{}: read {i} of `{}` fell back: {f}", entry.name, array.name());
+                    }
+                }
+                if reads.len() >= 2 {
+                    if let Err(f) = SymbolicProfile::analyze(nest, &reads) {
+                        panic!("{}: merged `{}` group fell back: {f}", entry.name, array.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fastest of `k` timed runs of `f`, in nanoseconds.
+fn min_of_k_ns<T>(k: usize, mut f: impl FnMut() -> T) -> u128 {
+    (0..k)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            std::hint::black_box(f());
+            started.elapsed().as_nanos()
+        })
+        .min()
+        .expect("k > 0")
+}
+
+/// The symbolic engine's headline claim: a closed-form reuse profile is
+/// at least 10x faster than materializing the address trace and running
+/// one Belady point at the first level's capacity. Min-of-k timings keep
+/// scheduler noise out; the measured gap is three orders of magnitude.
+#[test]
+fn symbolic_profile_is_at_least_10x_faster_than_belady_simulation() {
+    // A depth-3 rolling-band nest (32768 reads over a 53x16 array, reuse
+    // carried by `i1`) and the motion-estimation reference frame.
+    let depth3 = parse_program(
+        "array A[53][16];
+         for i1 in 0..16 { for i3 in 0..16 { for i5 in 0..8 {
+           for i6 in 0..16 { read A[2*i1 + i3 + i5][i6]; }
+         } } }",
+    )
+    .unwrap();
+    let me = MotionEstimation::SMALL.program();
+    for (name, program, array, access) in [
+        ("depth3", &depth3, "A", 0),
+        ("me-small", &me, MotionEstimation::OLD, 1),
+    ] {
+        let nest = &program.nests()[0];
+        let profile = symbolic_profile(nest, access).expect("conforming");
+        let capacity = profile.level_candidates()[0].size;
+        let symbolic = min_of_k_ns(15, || symbolic_profile(nest, access));
+        let simulated = min_of_k_ns(5, || {
+            let trace = read_addresses(program, array);
+            opt_simulate(&trace, capacity)
+        });
+        assert!(
+            simulated >= 10 * symbolic,
+            "{name}: simulation {simulated} ns is not >=10x symbolic {symbolic} ns"
+        );
     }
 }
 
