@@ -361,7 +361,7 @@ struct Observability {
 fn path_flag(args: &Args, name: &str) -> Result<Option<String>, CliError> {
     match args.flag(name) {
         Some(path) => Ok(Some(path.to_string())),
-        None if args.has(name) => Err(usage(&format!("--{name} expects a file path"))),
+        None if args.has(name) => Err(usage(format!("--{name} expects a file path"))),
         None => Ok(None),
     }
 }

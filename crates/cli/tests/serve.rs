@@ -367,10 +367,22 @@ fn trace_out_writes_a_chrome_trace_with_nested_spans() {
     let server = ServerProc::spawn(&["--trace-out", trace.to_str().unwrap()]);
     let responses = exchange(
         &server.addr,
-        &[r#"{"op":"explore","kernel":"fir","id":1}"#],
+        &[r#"{"op":"explore","kernel":"fir","id":1}"#, r#"{"op":"stats"}"#],
     );
     assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
     server.shutdown();
+    // The profile aggregates the same spans by path.
+    let paths: Vec<&str> = responses[1]
+        .get("result")
+        .and_then(|r| r.get("spans"))
+        .and_then(Json::as_array)
+        .expect("stats spans section")
+        .iter()
+        .filter_map(|s| s.get("path").and_then(Json::as_str))
+        .collect();
+    for wanted in ["request", "request/cache", "execute/explore"] {
+        assert!(paths.contains(&wanted), "no `{wanted}` in {paths:?}");
+    }
     let text = std::fs::read_to_string(&trace).expect("trace written on shutdown");
     let _ = std::fs::remove_file(&trace);
     let doc = Json::parse(&text).expect("Chrome trace JSON parses");
@@ -389,28 +401,29 @@ fn trace_out_writes_a_chrome_trace_with_nested_spans() {
             "{e}"
         );
     }
-    // The explore request produced a nested pair: its `execute` span
-    // points at the `request` span of the same trace.
-    let find = |name: &str, detail: &str| {
-        events.iter().find(|e| {
-            e.get("name").and_then(Json::as_str) == Some(name)
-                && e.get("args").and_then(|a| a.get("detail")).and_then(Json::as_str)
-                    == Some(detail)
-        })
+    // The explore request is one span chain under one trace id:
+    // `request` on the event loop, `execute` on the worker, then core's
+    // own `explore` and `pairs` stages, each pointing at its parent.
+    let find = |name: &str| {
+        events
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no `{name}` span traced"))
     };
-    let request = find("request", "explore").expect("request span traced");
-    let execute = find("execute", "explore").expect("execute span traced");
     let arg = |e: &Json, key: &str| e.get("args").and_then(|a| a.get(key)).map(Json::to_string);
-    assert_eq!(
-        arg(request, "trace_id"),
-        arg(execute, "trace_id"),
-        "same trace"
-    );
-    assert_eq!(
-        arg(execute, "parent_span"),
-        arg(request, "span_id"),
-        "execute nests under request"
-    );
+    let chain = ["request", "execute", "explore", "pairs"].map(find);
+    for e in &chain[..2] {
+        assert_eq!(arg(e, "detail").as_deref(), Some(r#""explore""#), "{e}");
+    }
+    for pair in chain.windows(2) {
+        let (parent, child) = (pair[0], pair[1]);
+        assert_eq!(arg(child, "trace_id"), arg(parent, "trace_id"), "same trace: {child}");
+        assert_eq!(
+            arg(child, "parent_span"),
+            arg(parent, "span_id"),
+            "{child} nests under {parent}"
+        );
+    }
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn audit_records_cover_the_exploration_exactly_once() {
     check(
         "explain_exploration_records",
         &Config::with_cases(64),
-        |rng| any_program(rng),
+        any_program,
         |src| {
             let program = parse_program(src).map_err(|e| e.to_string())?;
             let opts = ExploreOptions {

@@ -332,7 +332,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Ident(name) => {
                 self.advance()?;
-                if !seen.iter().any(|s| *s == name) {
+                if !seen.contains(&name) {
                     seen.push(name.clone());
                 }
                 Ok(AffineExpr::var(name))

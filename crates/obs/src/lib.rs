@@ -10,9 +10,12 @@
 //!   candidates generated and pruned, chains enumerated and costed, Pareto
 //!   points kept, Belady evictions, stack-distance samples, working-set
 //!   windows, parallel-sweep items.
-//! - **Spans** ([`span`]) — RAII guards that charge wall time *and*
-//!   bytes allocated in scope to a `/`-joined hierarchical path
-//!   (`explore/pairs`, `explore/chains`).
+//! - **Spans** ([`span`], [`span_with`]) — one RAII guard that charges
+//!   wall time *and* bytes allocated in scope to a `/`-joined
+//!   hierarchical path (`explore/pairs`, `explore/chains`) and, with
+//!   tracing on, also emits a request-trace event. Served requests
+//!   record `request` and `request/cache` on the event loop and
+//!   `execute/explore/…` on the worker.
 //! - **Allocation tracking** ([`alloc_snapshot`], [`thread_alloc_bytes`],
 //!   [`AllocSnapshot`]) — a `#[global_allocator]` wrapper over `System`
 //!   with sharded atomic tallies (alloc/dealloc/realloc counts, bytes
@@ -27,10 +30,10 @@
 //!   extraction, recorded on the serving path (cold vs cache-hit
 //!   separately), pool queue wait, explore chunks, and trace-simulator
 //!   runs; mergeable across threads.
-//! - **Request tracing** ([`TraceCtx`], [`trace_span`],
+//! - **Request tracing** ([`TraceCtx`], [`set_tracing_enabled`],
 //!   [`chrome_trace_json`]) — 64-bit trace ids propagated explicitly
-//!   across thread hops, spans exported as Chrome trace-event JSON
-//!   (loadable in Perfetto).
+//!   across thread hops; the same spans, exported as Chrome trace-event
+//!   JSON (loadable in Perfetto).
 //! - **Flight recorder** ([`flight_record`], [`flight_tail`]) — a
 //!   lock-free ring buffer of the last [`FLIGHT_CAPACITY`] structured
 //!   serving events, dumped on demand and attached to timeout/overload
@@ -39,9 +42,8 @@
 //!   [`profile_json`]) — derives per-phase cumulative/self-time
 //!   attribution from the span registry and exports it as structured
 //!   rows (`datareuse-profile-v1`) or flamegraph.pl-compatible
-//!   collapsed-stack text; [`memprofile_json`] and
-//!   [`collapsed_alloc_stacks`] export the same tree weighted by
-//!   self-allocated bytes (`datareuse-memprofile-v1`).
+//!   collapsed-stack text; [`memprofile_json`] exports the same tree
+//!   weighted by self-allocated bytes (`datareuse-memprofile-v1`).
 //! - **Snapshots** ([`snapshot`], [`MetricsSnapshot`]) — serialize the
 //!   registry to the workspace's hand-rolled [`Json`] as a
 //!   `METRICS_*.json` artifact (schema `datareuse-metrics-v2`, embedding
@@ -110,19 +112,15 @@ pub use metrics::{
     record_worker_items, reset_metrics, set_metrics_enabled, snapshot, Counter, Gauge,
     LocalCounter, MetricsSnapshot,
 };
-pub use profile::{
-    collapsed_alloc_stacks, collapsed_stacks, memprofile_json, profile_json, profile_rows,
-    ProfileRow,
-};
+pub use profile::{collapsed_stacks, memprofile_json, profile_json, profile_rows, ProfileRow};
 pub use progress::Progress;
 pub use prom::prometheus_text;
-pub use span::{span, SpanGuard};
+pub use span::{span, span_with, AttachGuard, SpanGuard};
 pub use timeseries::{
-    reset_series, scrape_series, series_json, series_len, series_ndjson, series_points,
-    SeriesHist, SeriesPoint, SERIES_CAPACITY,
+    scrape_series, series_json, series_len, series_ndjson, SeriesHist, SeriesPoint,
+    SERIES_CAPACITY,
 };
 pub use tracing::{
-    chrome_trace_json, record_span_at, set_tracing_enabled, take_trace_events, trace_now_ns,
-    trace_span, trace_span_with, tracing_enabled, AttachGuard, TraceCtx, TraceEvent, TraceSpan,
-    MAX_TRACE_EVENTS,
+    chrome_trace_json, record_span_at, set_tracing_enabled, take_trace_events, TraceCtx,
+    TraceEvent, MAX_TRACE_EVENTS,
 };

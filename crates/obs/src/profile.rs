@@ -13,10 +13,9 @@
 //!   `profile` serve op) for tests and tooling.
 //! - [`memprofile_json`]: the same tree with byte columns (schema
 //!   `datareuse-memprofile-v1`), written by `--alloc-profile`.
-//! - [`collapsed_stacks`] / [`collapsed_alloc_stacks`]: the
-//!   collapsed-stack text format consumed by `flamegraph.pl` and
-//!   compatible viewers — one line per path with positive self weight,
-//!   `a;b;c SELF` (nanoseconds or bytes respectively).
+//! - [`collapsed_stacks`]: the collapsed-stack text format consumed by
+//!   `flamegraph.pl` and compatible viewers — one line per path with
+//!   positive self time, `a;b;c SELF_NS`.
 //!
 //! Self weights partition cumulative weights: for any span tree, the sum
 //! of the self values of a root and all its descendants equals the
@@ -52,9 +51,8 @@ pub struct ProfileRow {
 ///
 /// Self time is `total_ns` minus the summed `total_ns` of *direct*
 /// children (paths one `/` segment deeper), and self bytes likewise.
-/// Clock jitter (or a guard dropped on a foreign thread) can make a
-/// child's recorded total marginally exceed its parent's; self values
-/// saturate at zero rather than going negative.
+/// Clock jitter can make a child's recorded total marginally exceed its
+/// parent's; self values saturate at zero rather than going negative.
 ///
 /// # Examples
 ///
@@ -130,27 +128,11 @@ fn rows_from(spans: &[(String, u64, u64, u64)]) -> Vec<ProfileRow> {
 /// emitted lines sum to the total profiled wall time (the sum of the
 /// root spans' cumulative totals).
 pub fn collapsed_stacks() -> String {
-    collapsed(profile_rows(), |r| r.self_ns)
-}
-
-/// Renders the allocation profile in collapsed-stack format: one
-/// `a;b;c SELF_BYTES` line per path with positive self-allocated bytes
-/// (sample unit: bytes). The same partition identity holds: the emitted
-/// values sum to the root spans' cumulative allocated bytes.
-pub fn collapsed_alloc_stacks() -> String {
-    collapsed(profile_rows(), |r| r.self_bytes)
-}
-
-fn collapsed(rows: Vec<ProfileRow>, weight: impl Fn(&ProfileRow) -> u64) -> String {
     let mut out = String::new();
-    for row in rows {
-        let w = weight(&row);
-        if w == 0 {
-            continue;
-        }
+    for row in profile_rows().into_iter().filter(|r| r.self_ns > 0) {
         out.push_str(&row.path.replace('/', ";"));
         out.push(' ');
-        out.push_str(&w.to_string());
+        out.push_str(&row.self_ns.to_string());
         out.push('\n');
     }
     out
@@ -314,9 +296,8 @@ mod tests {
 
     #[test]
     fn jitter_saturates_instead_of_underflowing() {
-        // Time: child clock total exceeds the parent's. Bytes: a guard
-        // dropped on a foreign thread records more child bytes than its
-        // parent saw. Both saturate per-column independently.
+        // A child total above its parent's (clock jitter on the time
+        // column) saturates, each column independently.
         let rows = rows_from(&[("a".into(), 1, 100, 500), ("a/b".into(), 1, 120, 700)]);
         assert_eq!(rows[0].self_ns, 0);
         assert_eq!(rows[0].self_bytes, 0);
@@ -344,41 +325,6 @@ mod tests {
         assert!(text.lines().any(|l| l.starts_with("outer;inner ")));
         reset_metrics();
         assert!(collapsed_stacks().is_empty());
-    }
-
-    #[test]
-    fn collapsed_alloc_stacks_weighs_lines_by_self_bytes() {
-        use crate::metrics::test_lock;
-        use crate::{reset_metrics, set_metrics_enabled, span};
-        let _guard = test_lock::hold();
-        reset_metrics();
-        set_metrics_enabled(true);
-        {
-            let _outer = span("outer");
-            {
-                let _inner = span("inner");
-                let _buf = vec![0u8; 1 << 20];
-            }
-        }
-        set_metrics_enabled(false);
-        let text = collapsed_alloc_stacks();
-        let inner_line = text
-            .lines()
-            .find(|l| l.starts_with("outer;inner "))
-            .expect("inner line present");
-        let bytes: u64 = inner_line.rsplit_once(' ').unwrap().1.parse().unwrap();
-        assert!(bytes >= 1 << 20, "inner self bytes below 1 MiB: {bytes}");
-        // Partition identity on the live registry: self bytes across all
-        // lines sum to the roots' cumulative bytes.
-        let self_sum: u64 = profile_rows().iter().map(|r| r.self_bytes).sum();
-        let root_sum: u64 = profile_rows()
-            .iter()
-            .filter(|r| !r.path.contains('/'))
-            .map(|r| r.total_bytes)
-            .sum();
-        assert_eq!(self_sum, root_sum);
-        reset_metrics();
-        assert!(collapsed_alloc_stacks().is_empty());
     }
 
     #[test]

@@ -1,43 +1,98 @@
-//! Hierarchical timed spans.
+//! Hierarchical timed spans: one guard feeds the profile, the byte
+//! attribution and the request trace.
 //!
-//! A [`SpanGuard`] times the region between its creation and drop and
-//! charges the elapsed nanoseconds — and the bytes this thread allocated
-//! in between, sampled from [`crate::thread_alloc_bytes`] — to a
-//! `/`-joined path built from the stack of open spans on the current
-//! thread (`explore/pairs`, `explore/chains/pareto`, …). Aggregation is
-//! by path: each path gets a call count, a total duration, and a total
-//! byte count, which [`crate::snapshot`] reports in the `spans` section.
-//! Bytes are cumulative exactly like time: a parent span's bytes include
-//! its same-thread children's, so the profiler can subtract direct
-//! children to obtain self-allocation. Allocations made by *other*
-//! threads (e.g. a parallel sweep's workers) are not charged to the
-//! opening thread's span — they show up in the process-wide
-//! [`crate::alloc_snapshot`] tallies instead.
+//! With metrics on ([`crate::metrics_enabled`]), a [`SpanGuard`] charges
+//! the elapsed nanoseconds and the bytes this thread allocated in scope
+//! ([`crate::thread_alloc_bytes`]) to a `/`-joined path built from the
+//! spans open on the current thread (`explore/pairs`,
+//! `explore/chains/pareto`, …); [`crate::snapshot`] reports the call
+//! count and totals per path. Bytes are cumulative like time, so the
+//! profiler subtracts direct children to get self-allocation; other
+//! threads' allocations show up only in [`crate::alloc_snapshot`].
 //!
-//! When metrics are disabled ([`crate::metrics_enabled`] is false) the
-//! guard is inert: no clock read, no thread-local push, no lock.
+//! With tracing on ([`crate::set_tracing_enabled`]), the same guard
+//! mints a span id under [`TraceCtx::current`] (a fresh root trace if
+//! none is attached) and buffers one [`crate::TraceEvent`] on drop. Both
+//! sinks share one clock read at each end; with both off the guard is
+//! inert: no clock read, no push, no lock.
+//!
+//! One thread-local stack of frames backs both: a span pushes its name
+//! (and its context when tracing), [`TraceCtx::attach`] pushes a
+//! nameless frame that the path join skips.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::tracing::{push_event, tracing_enabled, TraceCtx};
 
 /// Aggregated span data: path → (calls, total nanoseconds, total bytes
 /// allocated in scope by the opening thread).
 static SPANS: Mutex<BTreeMap<String, (u64, u64, u64)>> = Mutex::new(BTreeMap::new());
 
+/// One open frame: a span's name (`None` for an attached context) and
+/// the trace context children inherit (`None` when not tracing).
+type Frame = (Option<&'static str>, Option<TraceCtx>);
+
 thread_local! {
-    /// Names of the spans currently open on this thread, outermost first.
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Frames open on this thread, outermost first.
+    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard returned by [`span`]; charges elapsed time on drop.
+impl TraceCtx {
+    /// The context currently installed on this thread (by
+    /// [`TraceCtx::attach`] or an open traced [`span`]), if any.
+    pub fn current() -> Option<TraceCtx> {
+        STACK.with(|stack| stack.borrow().iter().rev().find_map(|f| f.1))
+    }
+
+    /// Installs this context as the thread's current one until the
+    /// returned guard drops. This is the explicit propagation primitive:
+    /// capture a ctx into a closure, attach it on the thread that runs
+    /// the closure, and spans opened there nest under the right parent.
+    pub fn attach(self) -> AttachGuard {
+        STACK.with(|stack| stack.borrow_mut().push((None, Some(self))));
+        AttachGuard(PhantomData)
+    }
+}
+
+/// RAII guard from [`TraceCtx::attach`]; restores the previous context
+/// on drop. `!Send`, like [`SpanGuard`].
 #[derive(Debug)]
-pub struct SpanGuard {
-    /// `None` when metrics were disabled at creation — drop is a no-op.
-    started: Option<Instant>,
-    /// This thread's cumulative allocated bytes when the span opened.
-    bytes_at_open: u64,
+pub struct AttachGuard(PhantomData<*const ()>);
+
+impl Drop for AttachGuard {
+    fn drop(&mut self) {
+        STACK.with(|stack| stack.borrow_mut().pop());
+    }
+}
+
+/// RAII guard returned by [`span`] and [`span_with`]; records on drop.
+///
+/// The guard pops a thread-local frame, so it must drop on the thread
+/// that opened it; it is `!Send`:
+///
+/// ```compile_fail
+/// let guard = datareuse_obs::span("outer");
+/// std::thread::spawn(move || drop(guard));
+/// ```
+#[derive(Debug)]
+pub struct SpanGuard(Option<Open>); // `None`: both sinks were off at open
+
+#[derive(Debug)]
+struct Open {
+    name: &'static str,
+    detail: &'static str,
+    started: Instant,
+    /// This thread's cumulative allocated bytes when the span opened;
+    /// `None` when metrics were off.
+    bytes_at_open: Option<u64>,
+    /// This span's own context and its parent's span id; `None` when
+    /// tracing was off.
+    trace: Option<(TraceCtx, u64)>,
+    _not_send: PhantomData<*const ()>,
 }
 
 /// Opens a timed span named `name`, nested under any spans already open
@@ -63,37 +118,79 @@ pub struct SpanGuard {
 /// assert!(spans.iter().all(|&(_, calls, ..)| calls == 1));
 /// ```
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::metrics_enabled() {
-        return SpanGuard {
-            started: None,
-            bytes_at_open: 0,
-        };
+    span_with(name, "")
+}
+
+/// Like [`span`], with a `detail` exported in the trace event's `args`
+/// (the op name of a served request). The path aggregate ignores it.
+///
+/// # Examples
+///
+/// ```
+/// use datareuse_obs::{reset_metrics, set_tracing_enabled, span_with, take_trace_events};
+/// reset_metrics();
+/// set_tracing_enabled(true);
+/// {
+///     let _outer = span_with("request", "explore");
+///     let _inner = span_with("execute", "explore");
+/// }
+/// set_tracing_enabled(false);
+/// let events = take_trace_events();
+/// assert_eq!(events.len(), 2);
+/// // Inner completes first and points at the outer span.
+/// assert_eq!(events[0].parent_span, events[1].span_id);
+/// assert_eq!(events[0].trace_id, events[1].trace_id);
+/// assert_eq!(events[1].detail, "explore");
+/// ```
+pub fn span_with(name: &'static str, detail: &'static str) -> SpanGuard {
+    let metrics = crate::metrics_enabled();
+    let tracing = tracing_enabled();
+    if !metrics && !tracing {
+        return SpanGuard(None);
     }
-    STACK.with(|stack| stack.borrow_mut().push(name));
-    SpanGuard {
-        started: Some(Instant::now()),
-        bytes_at_open: crate::thread_alloc_bytes(),
-    }
+    let trace = tracing.then(|| {
+        let parent = TraceCtx::current().unwrap_or_else(TraceCtx::root);
+        (parent.child(), parent.span_id)
+    });
+    STACK.with(|stack| stack.borrow_mut().push((Some(name), trace.map(|t| t.0))));
+    SpanGuard(Some(Open {
+        name,
+        detail,
+        started: Instant::now(),
+        bytes_at_open: metrics.then(crate::thread_alloc_bytes),
+        trace,
+        _not_send: PhantomData,
+    }))
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(started) = self.started else { return };
-        let elapsed = started.elapsed().as_nanos() as u64;
-        // Saturating: the thread counter is monotone, but guards can be
-        // dropped on a different thread than they were created on.
-        let bytes = crate::thread_alloc_bytes().saturating_sub(self.bytes_at_open);
-        let path = STACK.with(|stack| {
+        let Some(open) = self.0.take() else { return };
+        let elapsed = open.started.elapsed().as_nanos() as u64;
+        STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let path = stack.join("/");
+            if let Some(bytes_at_open) = open.bytes_at_open {
+                // Saturating: during thread teardown the counter reads 0.
+                let bytes = crate::thread_alloc_bytes().saturating_sub(bytes_at_open);
+                let names = || stack.iter().filter_map(|f| f.0);
+                let mut path = String::with_capacity(names().map(|n| n.len() + 1).sum());
+                for name in names() {
+                    if !path.is_empty() {
+                        path.push('/');
+                    }
+                    path.push_str(name);
+                }
+                let mut spans = SPANS.lock().expect("span registry poisoned");
+                let entry = spans.entry(path).or_insert((0, 0, 0));
+                entry.0 += 1;
+                entry.1 += elapsed;
+                entry.2 += bytes;
+            }
             stack.pop();
-            path
         });
-        let mut spans = SPANS.lock().expect("span registry poisoned");
-        let entry = spans.entry(path).or_insert((0, 0, 0));
-        entry.0 += 1;
-        entry.1 += elapsed;
-        entry.2 += bytes;
+        if let Some((ctx, parent_span)) = open.trace {
+            push_event(open.name, open.detail, ctx, parent_span, open.started, elapsed);
+        }
     }
 }
 
@@ -117,17 +214,9 @@ pub(crate) fn reset_spans() {
 mod tests {
     use super::*;
     use crate::metrics::test_lock;
-    use crate::{reset_metrics, set_metrics_enabled, snapshot};
-
-    #[test]
-    fn disabled_spans_record_nothing() {
-        let _guard = test_lock::hold();
-        reset_metrics();
-        {
-            let _s = span("ghost");
-        }
-        assert!(snapshot().spans.is_empty());
-    }
+    use crate::{
+        reset_metrics, set_metrics_enabled, set_tracing_enabled, snapshot, take_trace_events,
+    };
 
     #[test]
     fn nested_spans_aggregate_by_path() {
@@ -183,6 +272,54 @@ mod tests {
             outer >= inner + (1 << 20),
             "outer ({outer}) must include inner ({inner}) plus its own MiB"
         );
+        reset_metrics();
+    }
+
+    #[test]
+    fn one_guard_feeds_each_enabled_sink_and_nests_across_attach() {
+        let _guard = test_lock::hold();
+        for (metrics, tracing) in [(false, false), (true, false), (false, true), (true, true)] {
+            reset_metrics();
+            set_metrics_enabled(metrics);
+            set_tracing_enabled(tracing);
+            let request = TraceCtx::root();
+            {
+                let _attach = request.attach();
+                let _execute = span_with("execute", "explore");
+                let _explore = span("explore");
+                let ctx = TraceCtx::current().expect("the attached context at least");
+                std::thread::spawn(move || {
+                    let _attach = ctx.attach();
+                    let _worker = span("worker");
+                })
+                .join()
+                .unwrap();
+            }
+            set_metrics_enabled(false);
+            set_tracing_enabled(false);
+            let paths: Vec<String> = snapshot().spans.into_iter().map(|(p, ..)| p).collect();
+            let expected: &[&str] = if metrics {
+                // Attached frames are nameless: the worker's span is a root.
+                &["execute", "execute/explore", "worker"]
+            } else {
+                &[]
+            };
+            assert_eq!(paths, expected, "metrics={metrics} tracing={tracing}");
+            let events = take_trace_events();
+            if !tracing {
+                assert!(events.is_empty(), "metrics={metrics}: {events:?}");
+                continue;
+            }
+            let named = |name: &str| events.iter().find(|e| e.name == name).unwrap();
+            let (execute, explore, worker) = (named("execute"), named("explore"), named("worker"));
+            assert_eq!(events.len(), 3);
+            assert!(events.iter().all(|e| e.trace_id == request.trace_id));
+            assert_eq!(execute.parent_span, request.span_id);
+            assert_eq!(explore.parent_span, execute.span_id);
+            assert_eq!(worker.parent_span, explore.span_id);
+            assert_eq!(execute.detail, "explore");
+            assert_eq!(explore.detail, "");
+        }
         reset_metrics();
     }
 

@@ -45,7 +45,7 @@ pub struct SeriesHist {
 /// One downsampled registry snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesPoint {
-    /// Monotonic scrape sequence number (resets with [`reset_series`]).
+    /// Monotonic scrape sequence number (resets with [`crate::reset_metrics`]).
     pub seq: u64,
     /// Wall-clock scrape time, milliseconds since the Unix epoch.
     pub unix_ms: u64,
@@ -210,7 +210,7 @@ pub fn scrape_series() -> SeriesPoint {
 }
 
 /// A copy of the ring, oldest point first.
-pub fn series_points() -> Vec<SeriesPoint> {
+pub(crate) fn series_points() -> Vec<SeriesPoint> {
     SERIES
         .lock()
         .expect("series ring poisoned")
@@ -254,7 +254,7 @@ pub fn series_ndjson() -> String {
 /// series reset together — a scrape landing right after a reset sees a
 /// zero baseline, never a stale one that would make deltas go
 /// "negative" (clamped to zero by `saturating_sub` regardless).
-pub fn reset_series() {
+pub(crate) fn reset_series() {
     let mut state = SERIES.lock().expect("series ring poisoned");
     *state = SeriesState::new();
 }

@@ -2,14 +2,16 @@
 //! trace-event export.
 //!
 //! The aggregated spans of [`crate::span`] answer "where does time go
-//! on average"; this module answers "where did *this request* spend its
-//! time". A [`TraceCtx`] carries a 64-bit trace id (minted by SplitMix64
-//! from a process-seeded counter — no wall-clock reads, so tests stay
-//! deterministic-ish and hermetic) plus the id of the current span.
+//! on average"; with tracing on, the same guards also answer "where did
+//! *this request* spend its time". A [`TraceCtx`] carries a 64-bit
+//! trace id (minted by SplitMix64 from a process-seeded counter — no
+//! wall-clock reads, so tests stay deterministic-ish and hermetic) plus
+//! the id of the current span.
 //! Contexts are propagated **explicitly** across thread hops: the server
 //! captures a request's ctx into the worker-pool job, the parallel sweep
 //! captures the caller's ctx into its scoped workers, and each side
-//! re-installs it with [`TraceCtx::attach`].
+//! re-installs it with [`TraceCtx::attach`]. Spans opened under an
+//! attached context nest under it.
 //!
 //! Completed spans are buffered in a bounded queue (oldest dropped) and
 //! exported as Chrome trace-event JSON ([`chrome_trace_json`]) — the
@@ -18,7 +20,6 @@
 //! ([`set_tracing_enabled`]), independent of the metrics registry, so a
 //! server can run with counters on and tracing off.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -39,9 +40,6 @@ static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 pub const MAX_TRACE_EVENTS: usize = 65_536;
 
 thread_local! {
-    /// Stack of contexts installed on this thread (attach guards and
-    /// open trace spans), innermost last.
-    static CTX_STACK: RefCell<Vec<TraceCtx>> = const { RefCell::new(Vec::new()) };
     /// Small dense per-thread id for trace export (ThreadId's integer
     /// form is unstable).
     static TID: u64 = {
@@ -66,21 +64,23 @@ fn epoch() -> &'static Instant {
     EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the process trace epoch. Use this (not `Instant`
-/// arithmetic of your own) when feeding [`record_span_at`] so all spans
-/// share one timeline.
-pub fn trace_now_ns() -> u64 {
+/// Nanoseconds since the process trace epoch.
+pub(crate) fn trace_now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
 /// Turns trace-event recording on or off for the whole process.
 pub fn set_tracing_enabled(on: bool) {
+    if on {
+        // Pin the epoch before any traced span reads its start instant.
+        epoch();
+    }
     TRACING.store(on, Ordering::Relaxed);
 }
 
 /// Whether trace-event recording is currently on.
 #[inline]
-pub fn tracing_enabled() -> bool {
+pub(crate) fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
@@ -112,32 +112,12 @@ impl TraceCtx {
         }
     }
 
-    /// The context currently installed on this thread (by
-    /// [`TraceCtx::attach`] or an open [`TraceSpan`]), if any.
-    pub fn current() -> Option<TraceCtx> {
-        CTX_STACK.with(|stack| stack.borrow().last().copied())
-    }
-
-    /// Installs this context as the thread's current one until the
-    /// returned guard drops. This is the explicit propagation primitive:
-    /// capture a ctx into a closure, attach it on the thread that runs
-    /// the closure, and spans opened there nest under the right parent.
-    pub fn attach(self) -> AttachGuard {
-        CTX_STACK.with(|stack| stack.borrow_mut().push(self));
-        AttachGuard(())
-    }
-}
-
-/// RAII guard from [`TraceCtx::attach`]; restores the previous context
-/// on drop.
-#[derive(Debug)]
-pub struct AttachGuard(());
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        CTX_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
+    /// A new span under this one: same trace, fresh span id.
+    pub(crate) fn child(self) -> TraceCtx {
+        TraceCtx {
+            trace_id: self.trace_id,
+            span_id: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
+        }
     }
 }
 
@@ -146,8 +126,9 @@ impl Drop for AttachGuard {
 pub struct TraceEvent {
     /// Span name (a code location, like [`crate::span`] names).
     pub name: &'static str,
-    /// Free-form detail (op name, kernel) shown in the trace viewer.
-    pub detail: String,
+    /// Detail (the op name of a served request) shown in the trace
+    /// viewer; empty for none.
+    pub detail: &'static str,
     /// Trace this span belongs to.
     pub trace_id: u64,
     /// This span's own id.
@@ -162,7 +143,26 @@ pub struct TraceEvent {
     pub dur_ns: u64,
 }
 
-fn push_event(event: TraceEvent) {
+/// Buffers one completed span with its own context `ctx`, started at
+/// `started` and lasting `dur_ns`.
+pub(crate) fn push_event(
+    name: &'static str,
+    detail: &'static str,
+    ctx: TraceCtx,
+    parent_span: u64,
+    started: Instant,
+    dur_ns: u64,
+) {
+    let event = TraceEvent {
+        name,
+        detail,
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        parent_span,
+        tid: TID.with(|t| *t),
+        ts_ns: started.saturating_duration_since(*epoch()).as_nanos() as u64,
+        dur_ns,
+    };
     let mut events = EVENTS.lock().expect("trace event buffer poisoned");
     if events.len() >= MAX_TRACE_EVENTS {
         events.pop_front();
@@ -170,117 +170,16 @@ fn push_event(event: TraceEvent) {
     events.push_back(event);
 }
 
-/// An open traced region; records a [`TraceEvent`] on drop. Created by
-/// [`trace_span`] / [`trace_span_with`].
-#[derive(Debug)]
-pub struct TraceSpan {
-    /// `None` when tracing was disabled at creation — drop is a no-op.
-    live: Option<LiveSpan>,
-}
-
-#[derive(Debug)]
-struct LiveSpan {
-    name: &'static str,
-    detail: String,
-    ctx: TraceCtx,
-    parent_span: u64,
-    started: Instant,
-    ts_ns: u64,
-}
-
-impl TraceSpan {
-    /// The context children of this span should inherit (this span as
-    /// parent). `None` when tracing is disabled.
-    pub fn ctx(&self) -> Option<TraceCtx> {
-        self.live.as_ref().map(|l| l.ctx)
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        CTX_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        push_event(TraceEvent {
-            name: live.name,
-            detail: live.detail,
-            trace_id: live.ctx.trace_id,
-            span_id: live.ctx.span_id,
-            parent_span: live.parent_span,
-            tid: TID.with(|t| *t),
-            ts_ns: live.ts_ns,
-            dur_ns: live.started.elapsed().as_nanos() as u64,
-        });
-    }
-}
-
-/// Opens a traced span named `name` under the thread's current context
-/// (a fresh root trace if none is installed). Inert when tracing is
+/// Records a completed span under `parent` directly, for intervals whose
+/// start and end live on different threads (queue wait: submitted on the
+/// connection thread, picked up on a worker). Trace-only: the aggregate
+/// side of such intervals is a histogram. No-op when tracing is
 /// disabled.
-///
-/// # Examples
-///
-/// ```
-/// use datareuse_obs::{trace_span, take_trace_events, set_tracing_enabled};
-/// set_tracing_enabled(true);
-/// {
-///     let _outer = trace_span("request");
-///     let _inner = trace_span("execute");
-/// }
-/// set_tracing_enabled(false);
-/// let events = take_trace_events();
-/// assert_eq!(events.len(), 2);
-/// // Inner completes first and points at the outer span.
-/// assert_eq!(events[0].parent_span, events[1].span_id);
-/// assert_eq!(events[0].trace_id, events[1].trace_id);
-/// ```
-pub fn trace_span(name: &'static str) -> TraceSpan {
-    trace_span_with(name, String::new())
-}
-
-/// Like [`trace_span`], with a free-form `detail` string exported in the
-/// event's `args` (op name, kernel, …).
-pub fn trace_span_with(name: &'static str, detail: impl Into<String>) -> TraceSpan {
-    if !tracing_enabled() {
-        return TraceSpan { live: None };
-    }
-    let parent = TraceCtx::current().unwrap_or_else(TraceCtx::root);
-    let ctx = TraceCtx {
-        trace_id: parent.trace_id,
-        span_id: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
-    };
-    CTX_STACK.with(|stack| stack.borrow_mut().push(ctx));
-    TraceSpan {
-        live: Some(LiveSpan {
-            name,
-            detail: detail.into(),
-            ctx,
-            parent_span: parent.span_id,
-            started: Instant::now(),
-            ts_ns: trace_now_ns(),
-        }),
-    }
-}
-
-/// Records a completed span directly, for intervals whose start and end
-/// live on different threads (queue wait: submitted on the connection
-/// thread, picked up on a worker). `ts_ns` must come from
-/// [`trace_now_ns`]. No-op when tracing is disabled.
-pub fn record_span_at(name: &'static str, ctx: TraceCtx, ts_ns: u64, dur_ns: u64) {
+pub fn record_span_at(name: &'static str, parent: TraceCtx, started: Instant, dur_ns: u64) {
     if !tracing_enabled() {
         return;
     }
-    push_event(TraceEvent {
-        name,
-        detail: String::new(),
-        trace_id: ctx.trace_id,
-        span_id: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
-        parent_span: ctx.span_id,
-        tid: TID.with(|t| *t),
-        ts_ns,
-        dur_ns,
-    });
+    push_event(name, "", parent.child(), parent.span_id, started, dur_ns);
 }
 
 /// Drains and returns all buffered completed spans, oldest first.
@@ -313,7 +212,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
                     ("parent_span".to_string(), Json::UInt(e.parent_span)),
                 ];
                 if !e.detail.is_empty() {
-                    args.push(("detail".to_string(), Json::str(e.detail.clone())));
+                    args.push(("detail".to_string(), Json::str(e.detail)));
                 }
                 Json::obj([
                     ("name", Json::str(e.name)),
@@ -344,48 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracing_records_nothing_and_has_no_ctx() {
-        let _guard = test_lock::hold();
-        crate::reset_metrics();
-        {
-            let s = trace_span("ghost");
-            assert!(s.ctx().is_none());
-        }
-        assert!(take_trace_events().is_empty());
-    }
-
-    #[test]
-    fn spans_nest_across_an_explicit_thread_hop() {
-        let _guard = test_lock::hold();
-        crate::reset_metrics();
-        set_tracing_enabled(true);
-        let child_ctx;
-        {
-            let request = trace_span_with("request", "explore");
-            child_ctx = request.ctx().expect("tracing on");
-            let handle = std::thread::spawn(move || {
-                let _attach = child_ctx.attach();
-                let _exec = trace_span("execute");
-            });
-            handle.join().unwrap();
-        }
-        set_tracing_enabled(false);
-        let events = take_trace_events();
-        assert_eq!(events.len(), 2);
-        let exec = events.iter().find(|e| e.name == "execute").unwrap();
-        let request = events.iter().find(|e| e.name == "request").unwrap();
-        assert_eq!(exec.trace_id, request.trace_id);
-        assert_eq!(exec.parent_span, request.span_id);
-        assert_eq!(request.parent_span, 0);
-        assert_eq!(request.detail, "explore");
-        crate::reset_metrics();
-    }
-
-    #[test]
     fn chrome_export_parses_and_carries_ids() {
         let events = vec![TraceEvent {
             name: "request",
-            detail: "explore".to_string(),
+            detail: "explore",
             trace_id: 0xabcd,
             span_id: 7,
             parent_span: 0,
@@ -415,7 +276,7 @@ mod tests {
         set_tracing_enabled(true);
         let ctx = TraceCtx::root();
         for _ in 0..(MAX_TRACE_EVENTS + 10) {
-            record_span_at("tick", ctx, 0, 1);
+            record_span_at("tick", ctx, Instant::now(), 1);
         }
         set_tracing_enabled(false);
         assert_eq!(take_trace_events().len(), MAX_TRACE_EVENTS);

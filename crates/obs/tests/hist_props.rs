@@ -187,12 +187,15 @@ fn merged_histogram_percentiles_stay_monotone_and_in_range() {
     );
 }
 
-/// Names must be `&'static str`, so generated events draw from a pool.
+/// Names and details must be `&'static str`, so generated events draw
+/// from pools; the details include the JSON escapes `"` and `\`.
 const NAMES: [&str; 4] = ["request", "execute", "queue_wait", "flush"];
+const DETAILS: [&str; 4] = ["", "explore", "say \"hi\"", "C:\\tmp\\k.dr"];
 
+/// The first field picks both pools: name `k % 4`, detail `k / 4`.
 fn any_event(rng: &mut Rng) -> (usize, u64, u64, u64, u64, u64, u64) {
     (
-        rng.usize_in(0, NAMES.len() - 1),
+        rng.usize_in(0, NAMES.len() * DETAILS.len() - 1),
         rng.next_u64(),               // trace_id
         rng.u64_in(1, u64::MAX),      // span_id
         rng.next_u64(),               // parent_span
@@ -211,13 +214,9 @@ fn chrome_trace_export_round_trips_through_the_json_parser() {
         |raw| {
             let events: Vec<TraceEvent> = raw
                 .iter()
-                .map(|&(n, trace_id, span_id, parent_span, tid, ts_ns, dur_ns)| TraceEvent {
-                    name: NAMES[n],
-                    detail: if span_id % 2 == 0 {
-                        String::new()
-                    } else {
-                        format!("detail-{span_id}")
-                    },
+                .map(|&(k, trace_id, span_id, parent_span, tid, ts_ns, dur_ns)| TraceEvent {
+                    name: NAMES[k % NAMES.len()],
+                    detail: DETAILS[k / NAMES.len()],
                     trace_id,
                     span_id,
                     parent_span,
@@ -244,9 +243,9 @@ fn chrome_trace_export_round_trips_through_the_json_parser() {
                     Some(e.parent_span)
                 );
                 prop_assert_eq!(
-                    args.get("detail").is_some(),
-                    !e.detail.is_empty(),
-                    "detail key only when non-empty"
+                    args.get("detail").and_then(Json::as_str),
+                    (!e.detail.is_empty()).then_some(e.detail),
+                    "detail round-trips, key only when non-empty"
                 );
                 // Timestamps survive the µs conversion to Perfetto
                 // precision (a 53-bit mantissa covers every ts the

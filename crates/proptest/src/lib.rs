@@ -170,7 +170,7 @@ impl Shrink for f64 {
         let v = *self;
         let mut out = Vec::new();
         for c in [0.0, v / 2.0, v.trunc()] {
-            if c != v && !out.iter().any(|&o: &f64| o == c) {
+            if c != v && !out.contains(&c) {
                 out.push(c);
             }
         }

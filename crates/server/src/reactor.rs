@@ -103,7 +103,7 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
     let timeout_ms = match timeout {
         None => -1,
         Some(t) => {
-            let ms = (t.as_micros() + 999) / 1000; // round up
+            let ms = t.as_micros().div_ceil(1000);
             i32::try_from(ms).unwrap_or(i32::MAX)
         }
     };

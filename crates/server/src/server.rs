@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 use datareuse_obs::{
     add, chrome_trace_json, flight_record, flight_tail_json, gauge_add, gauge_sub, gauge_value,
     hist_snapshot, prometheus_text, record_hist, record_span_at, scrape_series, series_json, span,
-    take_trace_events, trace_now_ns, trace_span_with, Counter, FlightKind, Gauge, Hist, Json,
-    TraceCtx, FLIGHT_ERROR_TAIL,
+    span_with, take_trace_events, Counter, FlightKind, Gauge, Hist, Json, TraceCtx,
+    FLIGHT_ERROR_TAIL,
 };
 
 use crate::cache::ResultCache;
@@ -1181,10 +1181,10 @@ impl EventLoop {
             }
         };
         // The request span nests every child (cache probe, queue wait,
-        // execute) under one trace; its ctx is what crosses to the
-        // worker.
-        let request_span = trace_span_with("request", request.op.name());
-        let ctx = request_span.ctx().unwrap_or(root);
+        // execute) under one trace; the innermost ctx (the span's own
+        // when tracing, else the root) is what crosses to the worker.
+        let _request = span_with("request", request.op.name());
+        let ctx = TraceCtx::current().unwrap_or(root);
         flight_record(FlightKind::RequestStart, ctx.trace_id, op_ordinal(&request.op));
         let id = request.id.clone();
         let deadline = request
@@ -1209,7 +1209,7 @@ impl EventLoop {
             return;
         }
         if let Op::Batch(subs) = request.op {
-            self.dispatch_batch(index, started, ctx, id, subs, deadline, deadline_ms);
+            self.dispatch_batch(index, started, ctx, id, subs, deadline);
             return;
         }
         let expires = started + deadline;
@@ -1268,9 +1268,9 @@ impl EventLoop {
         id: Option<Json>,
         subs: Vec<Request>,
         deadline: Duration,
-        deadline_ms: u64,
     ) {
         add(Counter::ServeBatchRequests, subs.len() as u64);
+        let deadline_ms = deadline.as_millis() as u64;
         let Some((gen, seq)) =
             self.push_slot(index, started, ctx.trace_id, id, deadline_ms, None)
         else {
@@ -1395,7 +1395,6 @@ impl EventLoop {
     fn submit_leader(&self, op: Op, key: u64, ctx: TraceCtx, expires: Instant, deadline_ms: u64) {
         let shared = Arc::clone(&self.shared);
         let submitted_at = Instant::now();
-        let submitted_ts = trace_now_ns();
         let job = Box::new(move || {
             // Re-install the request's trace context on the worker
             // thread so spans opened here nest under the request.
@@ -1404,7 +1403,7 @@ impl EventLoop {
             record_hist(Hist::ServeQueueWait, wait_ns);
             // The wait starts on the loop thread and ends here, so it is
             // recorded directly rather than via a guard.
-            record_span_at("queue_wait", ctx, submitted_ts, wait_ns);
+            record_span_at("queue_wait", ctx, submitted_at, wait_ns);
             // A worker picking up an expired job may skip the compute —
             // but only when nobody else coalesced onto it: a follower
             // with a longer deadline still wants the result.
@@ -1420,7 +1419,7 @@ impl EventLoop {
                 return;
             }
             let outcome = {
-                let _exec = trace_span_with("execute", op.name());
+                let _exec = span_with("execute", op.name());
                 ops::execute(&op).map(|result| {
                     let raw: Arc<str> = Arc::from(result.to_string());
                     shared.cache.insert(key, Arc::clone(&raw));

@@ -21,6 +21,9 @@ cargo build --release --workspace
 # documentation tests, the root facade's included.
 cargo test -q --workspace
 
+# Lints are a gate too: every clippy warning, tests and benches included.
+cargo clippy --workspace --all-targets --quiet -- -D warnings
+
 # Docs must stay warning-free (missing_docs is denied in core and obs).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
