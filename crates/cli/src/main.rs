@@ -14,12 +14,10 @@
 //!                   [--profile-out FILE] [--progress]
 //! datareuse serve   [--addr HOST:PORT] [--threads N] [--loops N] [--queue-depth N]
 //!                   [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
-//!                   [--metrics FILE] [--trace-out FILE] [--series-out FILE]
-//!                   [--scrape-ms MS] [--slo-p99-ms MS] [--slo-hit-ratio R]
-//!                   [--slo-queue F] [--progress]
+//!                   [--metrics FILE] [--trace-out FILE] [--slo-p99-ms MS]
+//!                   [--slo-hit-ratio R] [--slo-queue F] [--progress]
 //! datareuse query   --addr HOST:PORT <request-json>...
 //! datareuse top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
-//! datareuse bench-serve [--connections N] [--out FILE] [--threads N] [--loops N]
 //! ```
 //!
 //! `<kernel>` is a built-in name (see `datareuse kernels`), a
@@ -111,12 +109,11 @@ const USAGE: &str = "usage: datareuse <command> [args]
                    [--rust]
   serve   [--addr HOST:PORT] [--threads N] [--loops N] [--queue-depth N]
           [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
-          [--metrics FILE] [--trace-out FILE] [--series-out FILE] [--scrape-ms MS]
-          [--slo-p99-ms MS] [--slo-hit-ratio R] [--slo-queue F]
+          [--metrics FILE] [--trace-out FILE] [--slo-p99-ms MS]
+          [--slo-hit-ratio R] [--slo-queue F]
           [--profile-out FILE] [--alloc-profile FILE] [--progress]
   query   --addr HOST:PORT <request-json>...
   top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
-  bench-serve [--connections N] [--out FILE] [--threads N] [--loops N]
 <kernel> is a built-in name (`datareuse kernels`), a generated-corpus name
 (gen-matmul-32x32x32, ...), an inline einsum expression like
 'C[i,j] += A[i,k] * B[k,j]' (also via --expr EXPR), or a path to a .dr file.
@@ -775,10 +772,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         let ms: u64 = d.parse().map_err(|_| usage("bad --deadline-ms"))?;
         config.default_deadline = std::time::Duration::from_millis(ms);
     }
-    if let Some(s) = args.flag("scrape-ms") {
-        let ms: u64 = s.parse().map_err(|_| usage("bad --scrape-ms"))?;
-        config.scrape_interval = std::time::Duration::from_millis(ms);
-    }
     if let Some(p) = args.flag("slo-p99-ms") {
         let ms: u64 = p.parse().map_err(|_| usage("bad --slo-p99-ms"))?;
         config.slo.p99_latency = std::time::Duration::from_millis(ms);
@@ -797,7 +790,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         }
         config.slo.max_queue_saturation = frac;
     }
-    let series_path = args.flag("series-out").map(str::to_string);
     let obs = start_observability(args)?;
     // Serving always records metrics: the `stats`/`prom` ops and the
     // flight recorder must have data even without `--metrics FILE`.
@@ -823,16 +815,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.run()?;
     obs.finish()?;
-    if let Some(path) = &series_path {
-        // The ring survives the drain; this is the full retained window
-        // (up to SERIES_CAPACITY points), one NDJSON line per scrape.
-        std::fs::write(path, datareuse_obs::series_ndjson())
-            .map_err(|e| format!("cannot write series to `{path}`: {e}"))?;
-        eprintln!(
-            "series ({} points) written to {path}",
-            datareuse_obs::series_len()
-        );
-    }
     if let Some(path) = &trace_path {
         // Spans already drained by `trace` ops are gone; this writes
         // whatever is still buffered at drain time.
@@ -842,256 +824,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         eprintln!("trace written to {path}");
     }
     eprintln!("datareuse-serve: drained, exiting");
-    Ok(())
-}
-
-/// Kills the bench-serve child server if the bench bails out early; on
-/// the happy path the bench shuts it down over the protocol first and
-/// the kill is a no-op.
-struct ChildGuard(std::process::Child);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// `bench-serve`: the saturation load generator behind
-/// `benchmarks/BENCH_serve_scaling.json`.
-///
-/// Spawns a real `datareuse serve` child process (so the server owns its
-/// own fd budget — 10k server sockets plus 10k client sockets do not fit
-/// one process under common `ulimit -n` settings), then climbs a
-/// connection ladder toward `--connections`: at each rung it holds that
-/// many open sockets and measures cache-hit request latency and
-/// throughput over a sample of them. The artifact is one bench group
-/// (`serve_scaling`, one bench per rung, `elements` = held connections)
-/// plus a `saturation` object naming the rung with the highest observed
-/// throughput. Any connect or request failure exits nonzero.
-fn cmd_bench_serve(args: &Args) -> Result<(), CliError> {
-    use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
-    use std::time::{Duration, Instant};
-
-    let connections: usize = args
-        .flag("connections")
-        .map(|v| v.parse().map_err(|_| usage("bad --connections")))
-        .transpose()?
-        .unwrap_or(10_000);
-    if connections == 0 {
-        return Err(usage("--connections must be positive"));
-    }
-    let out_path = args
-        .flag("out")
-        .unwrap_or("benchmarks/BENCH_serve_scaling.json")
-        .to_string();
-    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let mut command = std::process::Command::new(exe);
-    command.args(["serve", "--addr", "127.0.0.1:0", "--cache-entries", "1024"]);
-    for flag in ["threads", "loops"] {
-        if let Some(v) = args.flag(flag) {
-            command.args([&format!("--{flag}"), v]);
-        }
-    }
-    let mut child = command
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .stdin(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn server child: {e}"))?;
-    let stdout = child.stdout.take().expect("stdout piped");
-    let mut guard = ChildGuard(child);
-    let mut discovery = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut discovery)
-        .map_err(|e| format!("cannot read server discovery line: {e}"))?;
-    let addr = discovery
-        .trim()
-        .strip_prefix("datareuse-serve: listening on ")
-        .ok_or_else(|| format!("unexpected server banner: {discovery:?}"))?
-        .to_string();
-
-    // The measured request: identical on every connection, so after the
-    // warm-up below every sample is a cache hit — the bench measures the
-    // serving loop, not the exploration engine.
-    let request = b"{\"op\":\"explore\",\"kernel\":\"fir\"}\n";
-    let connect = |tag: &str| -> Result<BufReader<TcpStream>, CliError> {
-        let mut last = String::new();
-        for attempt in 0..50 {
-            match TcpStream::connect(&addr) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_read_timeout(Some(Duration::from_secs(30)));
-                    // Small buffer: only sampled connections ever read,
-                    // and 10k of the default 8 KiB would be 80 MiB.
-                    return Ok(BufReader::with_capacity(1024, s));
-                }
-                Err(e) => {
-                    last = e.to_string();
-                    // Listen backlog overflow under a connect burst:
-                    // back off and retry rather than fail the bench.
-                    std::thread::sleep(Duration::from_millis(2 * (attempt + 1)));
-                }
-            }
-        }
-        Err(CliError::Runtime(format!("connect ({tag}) failed: {last}")))
-    };
-    let exchange = |conn: &mut BufReader<TcpStream>| -> Result<u64, CliError> {
-        let started = Instant::now();
-        conn.get_mut()
-            .write_all(request)
-            .map_err(|e| format!("request write failed: {e}"))?;
-        let mut line = String::new();
-        conn.read_line(&mut line)
-            .map_err(|e| format!("response read failed: {e}"))?;
-        if !line.contains("\"ok\":true") {
-            return Err(CliError::Runtime(format!("server refused: {}", line.trim())));
-        }
-        Ok(started.elapsed().as_nanos() as u64)
-    };
-
-    // Warm the cache so every measured request is a hit.
-    let mut warm = connect("warmup")?;
-    exchange(&mut warm)?;
-    drop(warm);
-
-    let rungs: Vec<usize> = [1, 10, 25, 50, 75, 100]
-        .iter()
-        .map(|pct| (connections * pct).div_ceil(100).max(1))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .scan(0usize, |prev, r| {
-            let keep = r > *prev;
-            *prev = r;
-            keep.then_some(r)
-        })
-        .collect();
-    let mut held: Vec<BufReader<TcpStream>> = Vec::with_capacity(connections);
-    let mut benches = Vec::new();
-    let mut best: Option<(usize, f64, u64)> = None; // (conns, rps, p99)
-    const WAVES: usize = 3;
-    const SAMPLE_CAP: usize = 512;
-    for rung in rungs {
-        while held.len() < rung {
-            held.push(connect("ladder")?);
-        }
-        let sample = rung.min(SAMPLE_CAP);
-        let mut latencies: Vec<u64> = Vec::with_capacity(sample * WAVES);
-        let mut busy = Duration::ZERO;
-        for _ in 0..WAVES {
-            let wave = Instant::now();
-            // Pipelined wave: all writes first, then the reads, so the
-            // server sees `sample` concurrent requests, not a chain.
-            for conn in held.iter_mut().take(sample) {
-                conn.get_mut()
-                    .write_all(request)
-                    .map_err(|e| format!("wave write failed: {e}"))?;
-            }
-            for conn in held.iter_mut().take(sample) {
-                let started = Instant::now();
-                let mut line = String::new();
-                conn.read_line(&mut line)
-                    .map_err(|e| format!("wave read failed: {e}"))?;
-                if !line.contains("\"ok\":true") {
-                    return Err(CliError::Runtime(format!(
-                        "server refused under load: {}",
-                        line.trim()
-                    )));
-                }
-                latencies.push(started.elapsed().as_nanos() as u64 + 1);
-            }
-            busy += wave.elapsed();
-        }
-        latencies.sort_unstable();
-        let count = latencies.len();
-        let pick = |q: f64| latencies[((count - 1) as f64 * q) as usize];
-        let mean = latencies.iter().sum::<u64>() as f64 / count as f64;
-        let rps = count as f64 / busy.as_secs_f64().max(1e-9);
-        let p99 = pick(0.99);
-        eprintln!(
-            "bench-serve: {rung:>6} connections held, {count} requests, \
-             p50 {:.1}us p99 {:.1}us, {rps:.0} req/s",
-            pick(0.50) as f64 / 1e3,
-            p99 as f64 / 1e3,
-        );
-        benches.push(Json::obj([
-            ("id", Json::str(format!("conns_{rung:05}"))),
-            ("batch", Json::UInt(1)),
-            ("samples", Json::UInt(count as u64)),
-            ("min_ns", Json::UInt(latencies[0])),
-            ("median_ns", Json::UInt(pick(0.50))),
-            ("mean_ns", Json::Num(mean)),
-            ("p50_ns", Json::UInt(pick(0.50))),
-            ("p99_ns", Json::UInt(p99)),
-            ("elements", Json::UInt(rung as u64)),
-        ]));
-        if best.is_none_or(|(_, r, _)| rps > r) {
-            best = Some((rung, rps, p99));
-        }
-    }
-    // The server's own view of the ladder: open_connections should show
-    // every held socket (plus this probe).
-    let open_connections = {
-        let conn = held.first_mut().expect("ladder has at least one rung");
-        conn.get_mut()
-            .write_all(b"{\"op\":\"stats\"}\n")
-            .map_err(|e| format!("stats write failed: {e}"))?;
-        let mut line = String::new();
-        conn.read_line(&mut line)
-            .map_err(|e| format!("stats read failed: {e}"))?;
-        Json::parse(&line)
-            .ok()
-            .and_then(|doc| {
-                doc.get("result")?
-                    .get("derived")?
-                    .get("open_connections")?
-                    .as_u64()
-            })
-            .unwrap_or(0)
-    };
-    if (open_connections as usize) < connections {
-        return Err(CliError::Runtime(format!(
-            "server reports {open_connections} open connections, \
-             expected at least {connections}"
-        )));
-    }
-    let (sat_conns, sat_rps, sat_p99) = best.expect("at least one rung ran");
-    let doc = Json::obj([
-        ("group", Json::str("serve_scaling")),
-        ("benches", Json::Arr(benches)),
-        (
-            "saturation",
-            Json::obj([
-                ("connections", Json::UInt(sat_conns as u64)),
-                ("rps", Json::Num(sat_rps)),
-                ("p99_ns", Json::UInt(sat_p99)),
-                ("open_connections", Json::UInt(open_connections)),
-            ]),
-        ),
-    ]);
-    {
-        let conn = held.first_mut().expect("still connected");
-        conn.get_mut()
-            .write_all(b"{\"op\":\"shutdown\"}\n")
-            .map_err(|e| format!("shutdown write failed: {e}"))?;
-        let mut line = String::new();
-        let _ = conn.read_line(&mut line);
-    }
-    drop(held);
-    let status = guard
-        .0
-        .wait()
-        .map_err(|e| format!("server child did not exit: {e}"))?;
-    if !status.success() {
-        return Err(CliError::Runtime(format!("server child exited {status}")));
-    }
-    std::fs::write(&out_path, doc.to_string() + "\n")
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    eprintln!(
-        "bench-serve: saturation {sat_rps:.0} req/s at {sat_conns} connections \
-         ({open_connections} open server-side); written to {out_path}"
-    );
     Ok(())
 }
 
@@ -1182,7 +914,6 @@ fn run() -> Result<(), CliError> {
         "curve" => cmd_curve(&args),
         "codegen" => cmd_codegen(&args),
         "serve" => cmd_serve(&args),
-        "bench-serve" => cmd_bench_serve(&args),
         "query" => cmd_query(&args),
         "top" => cmd_top(&args),
         other => Err(usage(format!("unknown command `{other}`"))),

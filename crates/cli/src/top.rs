@@ -1,15 +1,23 @@
 //! `datareuse top` — a live terminal dashboard over a running server.
 //!
-//! Polls `stats {"series":true}` on an interval and redraws one frame:
-//! headline counters, the cache hit ratio, queue depth, and sparklines
-//! of the scraped metrics series (requests per window, window p50/p99
-//! latency). Everything is plain std — the "UI" is ANSI clear-screen
-//! plus eight-level bar characters, with `--ascii` downgrading to a
-//! portable ramp so frames diff cleanly in scripts and golden tests.
-//! `--once` renders a single frame without touching the screen, which
+//! Polls `stats` on an interval and redraws one frame: headline
+//! counters, the cache hit ratio, queue depth, and sparklines of what
+//! happened between consecutive polls (requests per window, window
+//! p50/p99 of cold-request latency). The server keeps no history for
+//! this: `top` diffs the cumulative `serve_requests` counter, the
+//! `serve_latency_cold_ns` buckets and the `alloc_bytes_total` gauge of
+//! each poll against the previous one, and keeps the last
+//! [`HISTORY`] windows itself. Everything is plain std — the "UI" is
+//! ANSI clear-screen plus eight-level bar characters, with `--ascii`
+//! downgrading to a portable ramp so frames diff cleanly in scripts and
+//! golden tests. `--once` polls twice, `--interval-ms` apart, and
+//! renders the one resulting frame without touching the screen, which
 //! is what `crates/cli/tests/serve.rs` pins against a live server.
 
-use datareuse_obs::Json;
+use std::collections::VecDeque;
+use std::time::Instant;
+
+use datareuse_obs::{HistSnapshot, Json};
 use datareuse_server::Client;
 
 /// How `datareuse top` was asked to behave.
@@ -39,11 +47,6 @@ fn sparkline(values: &[u64], ascii: bool) -> String {
         .collect()
 }
 
-/// The most recent `width` points of one per-point metric, oldest first.
-fn tail(values: &[u64], width: usize) -> &[u64] {
-    &values[values.len().saturating_sub(width)..]
-}
-
 fn fmt_ms(ns: u64) -> String {
     format!("{:.2}ms", ns as f64 / 1e6)
 }
@@ -55,89 +58,98 @@ fn fmt_mb(bytes: f64) -> String {
     format!("{:.2}MB", bytes / 1e6)
 }
 
-/// Extracts the per-point series a frame plots: requests per window and
-/// the window p50/p99 of cold-request latency.
-struct SeriesView {
-    requests: Vec<u64>,
-    p50_ns: Vec<u64>,
-    p99_ns: Vec<u64>,
-    alloc_total: Vec<u64>,
-    unix_ms: Vec<u64>,
+/// Windows kept for the sparklines, which are one bar per window.
+const HISTORY: usize = 48;
+
+/// The cumulative figures of one `stats` poll that the next poll diffs.
+struct Poll {
+    at: Instant,
+    requests: u64,
+    cold: HistSnapshot,
+    alloc_total: u64,
 }
 
-impl SeriesView {
-    fn from_stats(stats: &Json) -> SeriesView {
-        let mut view = SeriesView {
-            requests: Vec::new(),
-            p50_ns: Vec::new(),
-            p99_ns: Vec::new(),
-            alloc_total: Vec::new(),
-            unix_ms: Vec::new(),
-        };
-        let points = stats
-            .get("series")
-            .and_then(|s| s.get("points"))
-            .and_then(Json::as_array)
-            .unwrap_or(&[]);
-        for p in points {
-            let counter = |name: &str| {
-                p.get("counters")
-                    .and_then(|c| c.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            let hist = |field: &str| {
-                p.get("hists")
-                    .and_then(|h| h.get("serve_latency_cold_ns"))
-                    .and_then(|h| h.get(field))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            view.requests.push(counter("serve_requests"));
-            view.p50_ns.push(hist("p50"));
-            view.p99_ns.push(hist("p99"));
-            view.alloc_total.push(
-                p.get("gauges")
-                    .and_then(|g| g.get("alloc_bytes_total"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-            );
-            view.unix_ms
-                .push(p.get("unix_ms").and_then(Json::as_u64).unwrap_or(0));
-        }
-        view
-    }
+/// One field of one section of a `stats` result.
+fn field<'a>(stats: &'a Json, section: &str, name: &str) -> Option<&'a Json> {
+    stats.get(section)?.get(name)
+}
 
-    /// Allocation rate in bytes/second over the last scrape window:
-    /// the `alloc_bytes_total` gauge carries cumulative allocation
-    /// traffic, so diffing the two newest points and dividing by their
-    /// wall-clock gap yields the live rate. Zero until two points exist.
-    fn alloc_rate(&self) -> f64 {
-        let n = self.alloc_total.len();
-        if n < 2 {
-            return 0.0;
+/// A counter, gauge or derived count of a `stats` result (0 when absent).
+fn count(stats: &Json, section: &str, name: &str) -> u64 {
+    field(stats, section, name).and_then(Json::as_u64).unwrap_or(0)
+}
+
+impl Poll {
+    fn read(stats: &Json, at: Instant) -> Poll {
+        Poll {
+            at,
+            requests: count(stats, "counters", "serve_requests"),
+            cold: field(stats, "hists", "serve_latency_cold_ns")
+                .and_then(HistSnapshot::from_json)
+                .unwrap_or_else(|| datareuse_obs::Histogram::new().snapshot()),
+            alloc_total: count(stats, "gauges", "alloc_bytes_total"),
         }
-        let bytes = self.alloc_total[n - 1].saturating_sub(self.alloc_total[n - 2]) as f64;
-        let ms = self.unix_ms[n - 1].saturating_sub(self.unix_ms[n - 2]).max(1) as f64;
-        bytes * 1e3 / ms
     }
 }
 
-/// Renders one dashboard frame from a parsed `stats` result document.
-/// Pure so tests can pin it without a server.
-pub fn render_frame(addr: &str, stats: &Json, ascii: bool) -> String {
-    let derived = |name: &str| stats.get("derived").and_then(|d| d.get(name));
-    let num = |name: &str| derived(name).and_then(Json::as_u64).unwrap_or(0);
-    let counter = |name: &str| {
-        stats
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let ratio = derived("cache_hit_ratio").and_then(Json::as_f64).unwrap_or(0.0);
-    let view = SeriesView::from_stats(stats);
-    let width = 48;
+/// What happened between two consecutive polls.
+struct Window {
+    requests: u64,
+    p50_ns: u64,
+    p99_ns: u64,
+    /// Allocation traffic over the window, in bytes per second.
+    alloc_rate: f64,
+}
+
+impl Window {
+    fn between(prev: &Poll, cur: &Poll) -> Window {
+        let cold = cur.cold.since(&prev.cold);
+        let secs = cur.at.saturating_duration_since(prev.at).as_secs_f64();
+        Window {
+            requests: cur.requests.saturating_sub(prev.requests),
+            p50_ns: cold.p50(),
+            p99_ns: cold.p99(),
+            alloc_rate: cur.alloc_total.saturating_sub(prev.alloc_total) as f64 / secs.max(1e-3),
+        }
+    }
+}
+
+/// `top`'s own bounded history: the last poll, and the windows between
+/// the last [`HISTORY`] + 1 polls, oldest first.
+#[derive(Default)]
+pub struct History {
+    last: Option<Poll>,
+    windows: VecDeque<Window>,
+}
+
+impl History {
+    /// Records one polled `stats` result taken at `at`, closing the
+    /// window since the previous poll.
+    pub fn observe(&mut self, stats: &Json, at: Instant) {
+        let poll = Poll::read(stats, at);
+        if let Some(prev) = &self.last {
+            if self.windows.len() == HISTORY {
+                self.windows.pop_front();
+            }
+            self.windows.push_back(Window::between(prev, &poll));
+        }
+        self.last = Some(poll);
+    }
+
+    fn plot(&self, value: impl Fn(&Window) -> u64, ascii: bool) -> String {
+        sparkline(&self.windows.iter().map(value).collect::<Vec<_>>(), ascii)
+    }
+}
+
+/// Renders one dashboard frame from the newest `stats` result document
+/// and the windows between earlier polls. Pure so tests can pin it
+/// without a server.
+pub fn render_frame(addr: &str, stats: &Json, history: &History, ascii: bool) -> String {
+    let num = |name: &str| count(stats, "derived", name);
+    let counter = |name: &str| count(stats, "counters", name);
+    let gauge = |name: &str| count(stats, "gauges", name);
+    let ratio = field(stats, "derived", "cache_hit_ratio").and_then(Json::as_f64);
+    let newest = history.windows.back();
     let mut out = String::new();
     out.push_str(&format!("datareuse top — {addr}\n"));
     out.push_str(&format!(
@@ -151,51 +163,31 @@ pub fn render_frame(addr: &str, stats: &Json, ascii: bool) -> String {
         "cache    hits {:>6}   misses {:>6}   hit ratio {:>5.1}%\n",
         counter("serve_cache_hits"),
         counter("serve_cache_misses"),
-        ratio * 100.0,
+        ratio.unwrap_or(0.0) * 100.0,
     ));
     out.push_str(&format!(
         "queue    depth {:>5} now, {:>5} peak\n",
         num("queue_depth"),
         num("queue_depth_max"),
     ));
-    let (last_p50, last_p99) = (
-        view.p50_ns.last().copied().unwrap_or(0),
-        view.p99_ns.last().copied().unwrap_or(0),
-    );
     out.push_str(&format!(
         "latency  window p50 {:>10}   p99 {:>10}\n",
-        fmt_ms(last_p50),
-        fmt_ms(last_p99),
+        fmt_ms(newest.map_or(0, |w| w.p50_ns)),
+        fmt_ms(newest.map_or(0, |w| w.p99_ns)),
     ));
-    if view.requests.is_empty() {
-        out.push_str("series   (no points scraped yet)\n");
+    if history.windows.is_empty() {
+        out.push_str("req/win  (waiting for a second poll)\n");
     } else {
-        out.push_str(&format!(
-            "req/win  {}\n",
-            sparkline(tail(&view.requests, width), ascii)
-        ));
-        out.push_str(&format!(
-            "p50      {}\n",
-            sparkline(tail(&view.p50_ns, width), ascii)
-        ));
-        out.push_str(&format!(
-            "p99      {}\n",
-            sparkline(tail(&view.p99_ns, width), ascii)
-        ));
-        out.push_str(&format!("points   {}\n", view.requests.len()));
+        out.push_str(&format!("req/win  {}\n", history.plot(|w| w.requests, ascii)));
+        out.push_str(&format!("p50      {}\n", history.plot(|w| w.p50_ns, ascii)));
+        out.push_str(&format!("p99      {}\n", history.plot(|w| w.p99_ns, ascii)));
+        out.push_str(&format!("points   {}\n", history.windows.len()));
     }
-    let gauge = |name: &str| {
-        stats
-            .get("gauges")
-            .and_then(|g| g.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
     out.push_str(&format!(
         "memory   live {:>10}   peak {:>10}   alloc {:>10}/s\n",
         fmt_mb(gauge("alloc_live_bytes") as f64),
         fmt_mb(gauge("alloc_peak_bytes") as f64),
-        fmt_mb(view.alloc_rate()),
+        fmt_mb(newest.map_or(0.0, |w| w.alloc_rate)),
     ));
     out
 }
@@ -231,7 +223,8 @@ impl Drop for TermGuard {
     }
 }
 
-/// Drives the dashboard: poll, render, repeat (or once).
+/// Drives the dashboard: poll, render, repeat. `--once` prints the
+/// frame of its second poll, the first one that has a window.
 ///
 /// # Errors
 ///
@@ -239,27 +232,30 @@ impl Drop for TermGuard {
 /// error response.
 pub fn run_top(opts: &TopOptions) -> Result<(), String> {
     let mut client = Client::connect(&opts.addr)?;
+    let mut history = History::default();
     // Live mode owns the terminal for the duration: the guard flips to
     // the alternate screen now and restores it on every exit path —
     // error returns and panics included.
     let _guard = if opts.once { None } else { Some(TermGuard::activate()) };
     loop {
-        let response = client.send_raw(r#"{"op":"stats","series":true}"#)?;
-        let doc = Json::parse(&response).map_err(|e| format!("malformed stats response: {e}"))?;
+        let doc = client.send(&Json::obj([("op", Json::str("stats"))]))?;
         if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("stats request failed: {response}"));
+            return Err(format!("stats request failed: {doc}"));
         }
         let stats = doc.get("result").ok_or("stats response without result")?;
-        let frame = render_frame(&opts.addr, stats, opts.ascii);
-        if opts.once {
+        history.observe(stats, Instant::now());
+        let frame = render_frame(&opts.addr, stats, &history, opts.ascii);
+        if opts.once && !history.windows.is_empty() {
             print!("{frame}");
             return Ok(());
         }
-        // Clear + home, then the frame; redraw-in-place keeps the
-        // terminal scrollback usable after Ctrl-C.
-        print!("\x1b[2J\x1b[H{frame}");
-        use std::io::Write as _;
-        std::io::stdout().flush().map_err(|e| e.to_string())?;
+        if !opts.once {
+            // Clear + home, then the frame; redraw-in-place keeps the
+            // terminal scrollback usable after Ctrl-C.
+            print!("\x1b[2J\x1b[H{frame}");
+            use std::io::Write as _;
+            std::io::stdout().flush().map_err(|e| e.to_string())?;
+        }
         std::thread::sleep(opts.interval);
     }
 }
@@ -267,6 +263,8 @@ pub fn run_top(opts: &TopOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datareuse_obs::Histogram;
+    use std::time::Duration;
 
     #[test]
     fn sparklines_scale_to_the_window_maximum() {
@@ -277,24 +275,41 @@ mod tests {
         assert_eq!(sparkline(&[5], false), "\u{2588}");
     }
 
+    /// A `stats` result as the server shapes it: cumulative request
+    /// count, cold-latency histogram and allocation total.
+    fn stats_doc(requests: u64, cold: &Histogram, alloc_total: u64) -> Json {
+        let text = format!(
+            r#"{{"counters":{{"serve_requests":{requests},"serve_cache_hits":3,"serve_cache_misses":1}},
+                "gauges":{{"alloc_live_bytes":12340000,"alloc_peak_bytes":56780000,
+                           "alloc_bytes_total":{alloc_total}}},
+                "hists":{{"serve_latency_cold_ns":{}}},
+                "derived":{{"requests_served":{requests},"cache_hit_ratio":0.75,
+                            "queue_depth":0,"queue_depth_max":2}}}}"#,
+            cold.snapshot().to_json()
+        );
+        Json::parse(&text).unwrap()
+    }
+
     #[test]
-    fn a_frame_renders_from_a_stats_document() {
-        let stats = Json::parse(
-            r#"{"counters":{"serve_cache_hits":3,"serve_cache_misses":1,
-                "serve_errors":0,"serve_timeouts":0,"serve_overloaded":0},
-                "derived":{"requests_served":9,"cache_hit_ratio":0.75,
-                "queue_depth":0,"queue_depth_max":2},
-                "series":{"schema":"datareuse-series-v1","capacity":256,"points":[
-                  {"seq":0,"counters":{"serve_requests":4},
-                   "hists":{"serve_latency_cold_ns":{"count":4,"p50":1000,"p99":2000}}},
-                  {"seq":1,"counters":{"serve_requests":5},
-                   "hists":{"serve_latency_cold_ns":{"count":5,"p50":1500,"p99":9000}}}]}}"#,
-        )
-        .unwrap();
-        let frame = render_frame("127.0.0.1:1", &stats, true);
-        // The whole frame is pinned: ASCII frames stay ANSI-free, and a
-        // document without memory gauges renders an all-zero memory
-        // panel rather than dropping the line.
+    fn a_frame_renders_the_windows_between_polls() {
+        // Three polls one second apart: 4 then 5 requests, the second
+        // window slower, with 5 MB of allocation traffic in it.
+        let cold = Histogram::new();
+        let t0 = Instant::now();
+        let mut history = History::default();
+        history.observe(&stats_doc(0, &cold, 1_000_000), t0);
+        for _ in 0..4 {
+            cold.record(1_000);
+        }
+        history.observe(&stats_doc(4, &cold, 1_000_000), t0 + Duration::from_secs(1));
+        for v in [1_500, 1_500, 1_500, 1_500, 9_000] {
+            cold.record(v);
+        }
+        let stats = stats_doc(9, &cold, 6_000_000);
+        history.observe(&stats, t0 + Duration::from_secs(2));
+        let frame = render_frame("127.0.0.1:1", &stats, &history, true);
+        // The whole frame is pinned: ASCII frames stay ANSI-free, and
+        // the newest window sets the latency and allocation-rate panels.
         let want = "\
 datareuse top — 127.0.0.1:1
 requests        9   errors      0   timeouts      0   overloaded      0
@@ -303,44 +318,27 @@ queue    depth     0 now,     2 peak
 latency  window p50     0.00ms   p99     0.01ms
 req/win  *#
 p50      +#
-p99      :#
+p99      .#
 points   2
-memory   live     0.00MB   peak     0.00MB   alloc     0.00MB/s
+memory   live    12.34MB   peak    56.78MB   alloc     5.00MB/s
 ";
         assert_eq!(frame, want);
     }
 
     #[test]
-    fn the_memory_panel_shows_live_peak_and_the_windowed_alloc_rate() {
-        // Two points one second apart with 5 MB of allocation traffic
-        // between them → a 5.00MB/s rate; live/peak come from the
-        // top-level gauges.
-        let stats = Json::parse(
-            r#"{"gauges":{"alloc_live_bytes":12340000,"alloc_peak_bytes":56780000},
-                "series":{"points":[
-                  {"seq":0,"unix_ms":1000,"counters":{"serve_requests":1},
-                   "gauges":{"alloc_bytes_total":1000000},
-                   "hists":{"serve_latency_cold_ns":{"count":1,"p50":1,"p99":1}}},
-                  {"seq":1,"unix_ms":2000,"counters":{"serve_requests":1},
-                   "gauges":{"alloc_bytes_total":6000000},
-                   "hists":{"serve_latency_cold_ns":{"count":1,"p50":1,"p99":1}}}]}}"#,
-        )
-        .unwrap();
-        let frame = render_frame("x", &stats, true);
-        assert!(
-            frame.contains("memory   live    12.34MB   peak    56.78MB   alloc     5.00MB/s"),
-            "frame:\n{frame}"
-        );
-        // Fewer than two points → no window to rate over.
-        let one = Json::parse(
-            r#"{"series":{"points":[
-                {"seq":0,"unix_ms":1000,"counters":{"serve_requests":1},
-                 "gauges":{"alloc_bytes_total":1000000},
-                 "hists":{"serve_latency_cold_ns":{"count":1,"p50":1,"p99":1}}}]}}"#,
-        )
-        .unwrap();
-        let frame = render_frame("x", &one, true);
-        assert!(frame.contains("alloc     0.00MB/s"), "frame:\n{frame}");
+    fn history_is_bounded_and_diffs_consecutive_polls() {
+        let t0 = Instant::now();
+        let cold = Histogram::new();
+        let mut history = History::default();
+        for i in 0..(HISTORY as u64 + 10) {
+            history.observe(&stats_doc(i * i, &cold, 0), t0 + Duration::from_secs(i));
+        }
+        assert_eq!(history.windows.len(), HISTORY);
+        // Window k covers polls k and k + 1: (k+1)² − k² = 2k + 1.
+        let newest = HISTORY as u64 + 8;
+        assert_eq!(history.windows.back().map(|w| w.requests), Some(2 * newest + 1));
+        // 57 windows closed; the oldest 9 were evicted.
+        assert_eq!(history.windows.front().map(|w| w.requests), Some(2 * 9 + 1));
     }
 
     #[test]
@@ -353,9 +351,12 @@ memory   live     0.00MB   peak     0.00MB   alloc     0.00MB/s
     }
 
     #[test]
-    fn a_frame_without_series_points_says_so() {
+    fn a_frame_before_the_second_poll_says_so() {
         let stats = Json::parse(r#"{"derived":{"requests_served":0}}"#).unwrap();
-        let frame = render_frame("x", &stats, true);
-        assert!(frame.contains("(no points scraped yet)"));
+        let mut history = History::default();
+        history.observe(&stats, Instant::now());
+        let frame = render_frame("x", &stats, &history, true);
+        assert!(frame.contains("(waiting for a second poll)"), "{frame}");
+        assert!(frame.contains("alloc     0.00MB/s"), "{frame}");
     }
 }

@@ -467,6 +467,34 @@ fn bad_inputs_fail_cleanly() {
     assert!(stderr.contains("--sizes"));
 }
 
+/// Nests whose read counts leave `u64` (extents near `i64::MAX`, and
+/// two 10^12-trip loops) end in a typed error at once, never in an
+/// enumeration that cannot finish.
+#[test]
+fn overflowing_extents_fail_with_a_typed_error_within_a_second() {
+    use std::time::{Duration, Instant};
+    for name in ["overflow_near_i64_max.dr", "overflow_tera_extent.dr"] {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let mut child = Command::new(env!("CARGO_BIN_EXE_datareuse"))
+            .args(["explore", &path])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let started = Instant::now();
+        while child.try_wait().expect("wait works").is_none() {
+            if started.elapsed() > Duration::from_secs(1) {
+                let _ = child.kill();
+                panic!("{name}: explore still running after 1 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("exit status");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("overflow"), "{name}: {stderr}");
+    }
+}
+
 /// Runs the binary and returns (exit code, stderr).
 fn exit_code_of(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_datareuse"))

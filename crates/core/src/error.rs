@@ -30,6 +30,10 @@ pub enum AnalyzeError {
     /// Accesses passed to a merged analysis are not translations of one
     /// another (different arrays, ranks or iterator coefficients).
     NotTranslated,
+    /// An iteration count, `C_tot` or a fill count leaves the `u64`
+    /// range. No analysis path can finish such a nest: the closed form
+    /// has no integer to return and enumeration would never end.
+    Overflow,
 }
 
 impl fmt::Display for AnalyzeError {
@@ -45,6 +49,7 @@ impl fmt::Display for AnalyzeError {
             Self::NotTranslated => {
                 write!(f, "accesses are not translations of a common shape")
             }
+            Self::Overflow => write!(f, "access counts overflow 64-bit integers"),
         }
     }
 }

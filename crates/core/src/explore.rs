@@ -235,7 +235,10 @@ pub fn explore_signal_explained(
                 .collect();
             // Guard-aware C_tot: guarded accesses (the SUSAN circular
             // mask) execute on a subset of the iteration space.
-            let c_tot: u64 = members.iter().map(|a| guarded_count(nest, a).0).sum();
+            let c_tot = members
+                .iter()
+                .try_fold(0u64, |sum, a| sum.checked_add(guarded_count(nest, a).0))
+                .ok_or(AnalyzeError::Overflow)?;
             let annotate = explain.is_some() && groups.is_empty();
             let mut candidates = Vec::new();
             // Default analysis path: closed-form symbolic profile. The
@@ -258,6 +261,11 @@ pub fn explore_signal_explained(
                     add(fallback_counter(fallback), 1);
                     if let Some(sink) = explain {
                         sink.emit(&symbolic_record(array, nest_idx, false, Err(fallback)));
+                    }
+                    // Counts beyond u64 are terminal: enumerating them
+                    // would never finish, so refuse before the pair sweep.
+                    if fallback == SymbolicFallback::Overflow {
+                        return Err(AnalyzeError::Overflow);
                     }
                     for level in footprint_levels(nest, access_idx)? {
                         candidates.push(CandidatePoint::from_footprint(&level, nest.depth()));
@@ -287,7 +295,10 @@ pub fn explore_signal_explained(
         Counter::ExploreCandidatesGenerated,
         groups.iter().map(|g| g.candidates.len() as u64).sum(),
     );
-    let c_tot: u64 = groups.iter().map(|g| g.c_tot).sum();
+    let c_tot = groups
+        .iter()
+        .try_fold(0u64, |sum, g| sum.checked_add(g.c_tot))
+        .ok_or(AnalyzeError::Overflow)?;
     let (mut pool, seed_map) = combine_groups_raw(&groups, c_tot);
     let mut pool_annots: Vec<Option<PairVector>> = if explain.is_some() {
         seed_map
@@ -325,6 +336,7 @@ pub fn explore_signal_explained(
                     }
                 }
             }
+            Err(SymbolicFallback::Overflow) => return Err(AnalyzeError::Overflow),
             Err(fallback) => {
                 // Enumeration may still refuse (accesses that are not
                 // translations of each other produce no shared candidate

@@ -315,6 +315,52 @@ impl HistSnapshot {
             ),
         ])
     }
+
+    /// The values recorded between `earlier` and `self`, two snapshots
+    /// of one cumulative histogram: the bucket-wise count difference,
+    /// from which the window's percentiles are read. A window's extremes
+    /// are not tracked, so `min`/`max` stay cumulative and percentiles
+    /// clamp to the cumulative maximum. Each bucket difference saturates
+    /// at zero, so a registry reset between the two snapshots reads as
+    /// an empty window, never a wrapped one.
+    pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        let mut counts = [0u64; Histogram::BUCKETS];
+        for ((out, &c), &e) in counts.iter_mut().zip(&self.counts).zip(&earlier.counts) {
+            *out = c.saturating_sub(e);
+        }
+        HistSnapshot {
+            counts,
+            count: counts.iter().sum(),
+            sum: self.sum.wrapping_sub(earlier.sum),
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// Reads back a snapshot serialized by [`HistSnapshot::to_json`]:
+    /// buckets, `count`, `min` and `max` exactly; `sum` only as
+    /// `mean × count`, since the document carries the mean. `None` when
+    /// a field is missing or a bucket bound is not a bucket's.
+    pub fn from_json(doc: &Json) -> Option<HistSnapshot> {
+        let field = |key: &str| doc.get(key).and_then(Json::as_u64);
+        let mut counts = [0u64; Histogram::BUCKETS];
+        for pair in doc.get("buckets")?.as_array()? {
+            let (bound, c) = (pair.at(0)?.as_u64()?, pair.at(1)?.as_u64()?);
+            let index = Histogram::bucket_index(bound);
+            if Histogram::bucket_bound(index) != bound {
+                return None;
+            }
+            counts[index] = c;
+        }
+        let count = field("count")?;
+        Some(HistSnapshot {
+            counts,
+            count,
+            sum: (doc.get("mean")?.as_f64()? * count as f64).round() as u64,
+            min: field("min")?,
+            max: field("max")?,
+        })
+    }
 }
 
 /// The global histogram registry, indexed by [`Hist`].
@@ -456,6 +502,22 @@ mod tests {
         let buckets = parsed.get("buckets").and_then(Json::as_array).unwrap();
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0].at(1).and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn from_json_reads_back_what_to_json_writes() {
+        let h = Histogram::new();
+        for v in [0u64, 7, 7, 1_500, u64::MAX] {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        let text = snap.to_json().to_string();
+        let back = HistSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!((back.counts, back.count), (snap.counts, snap.count));
+        assert_eq!((back.min, back.max, back.p99()), (snap.min, snap.max, snap.p99()));
+        // A bound that is no bucket's upper bound is refused.
+        let bad = Json::parse(r#"{"count":1,"min":4,"max":4,"mean":4,"buckets":[[4,1]]}"#);
+        assert_eq!(HistSnapshot::from_json(&bad.unwrap()), None);
     }
 
     #[test]

@@ -95,7 +95,6 @@ mod profile;
 mod progress;
 mod prom;
 mod span;
-mod timeseries;
 mod tracing;
 
 pub use alloc::{alloc_snapshot, thread_alloc_bytes, AllocSnapshot, TrackingAllocator};
@@ -116,10 +115,6 @@ pub use profile::{collapsed_stacks, memprofile_json, profile_json, profile_rows,
 pub use progress::Progress;
 pub use prom::prometheus_text;
 pub use span::{span, span_with, AttachGuard, SpanGuard};
-pub use timeseries::{
-    scrape_series, series_json, series_len, series_ndjson, SeriesHist, SeriesPoint,
-    SERIES_CAPACITY,
-};
 pub use tracing::{
     chrome_trace_json, record_span_at, set_tracing_enabled, take_trace_events, TraceCtx,
     TraceEvent, MAX_TRACE_EVENTS,

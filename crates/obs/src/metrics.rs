@@ -273,7 +273,7 @@ pub fn gauge_sub(gauge: Gauge, n: u64) {
 ///
 /// The three `alloc_*` gauges are backed by the tracking allocator, not
 /// the gauge array: they read live from [`crate::alloc_snapshot`] so
-/// every snapshot, Prometheus scrape, and time-series point sees the
+/// every snapshot and Prometheus scrape sees the
 /// current heap state without anything having to "record" it.
 pub fn gauge_value(gauge: Gauge) -> u64 {
     match gauge {
@@ -332,11 +332,6 @@ pub fn reset_metrics() {
     crate::hist::reset_hists();
     crate::flight::reset_flight();
     crate::tracing::reset_tracing();
-    // Under the same call as the counter wipe so a scraper thread racing
-    // this reset sees either (old counters, old baseline) or (zeroed
-    // counters, zeroed baseline) — never a stale baseline above fresh
-    // counters, which would read as a negative delta.
-    crate::timeseries::reset_series();
 }
 
 /// A point-in-time copy of the registry, convertible to JSON.

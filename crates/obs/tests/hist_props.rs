@@ -1,8 +1,8 @@
 //! Property tests of the latency histogram and the Chrome trace export.
 //!
 //! The histogram is the only lossy structure on the serving path — the
-//! percentiles it reports feed the `stats` op, the series ring and the
-//! `--metrics` snapshot — so its invariants are pinned over the *whole*
+//! percentiles it reports feed the `stats` op, the window panels of
+//! `datareuse top` and the `--metrics` snapshot — so its invariants are pinned over the *whole*
 //! `u64` domain, not just plausible nanosecond values. All cases run
 //! from fixed seeds (see `datareuse-proptest`); failures reproduce from
 //! the printed `(seed, case)` pair.
@@ -151,9 +151,8 @@ fn histogram_json_is_parseable_and_consistent() {
 
 #[test]
 fn merged_histogram_percentiles_stay_monotone_and_in_range() {
-    // The series ring consumes *merged* snapshots (shard merges, window
-    // differences), so monotonicity must survive the merge, not just a
-    // single-recorder histogram.
+    // Consumers read *merged* snapshots (shard merges), so monotonicity
+    // must survive the merge, not just a single-recorder histogram.
     check(
         "hist_merged_percentile_monotone",
         &Config::default(),
@@ -182,6 +181,41 @@ fn merged_histogram_percentiles_stay_monotone_and_in_range() {
             prop_assert_eq!(merged.percentile(1.0), sa.max.max(sb.max));
             // Merging with an empty snapshot changes nothing.
             prop_assert_eq!(sa.merge(&snapshot_of(&[])), sa);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn windows_of_a_cumulative_histogram_recompose_it() {
+    // `top` diffs consecutive `stats` polls: each window must count
+    // exactly the values recorded inside it (the bucket difference is
+    // lossless, so an early fast value cannot pull a slow window's
+    // median down), keep its percentiles ordered, and the windows must
+    // sum back to the cumulative count.
+    check(
+        "hist_windows_recompose",
+        &Config::default(),
+        |rng| rng.vec(1, 8, |r| r.vec(0, 12, any_value)),
+        |windows| {
+            let h = Histogram::new();
+            let mut prev = h.snapshot();
+            let mut windowed = 0u64;
+            for batch in windows {
+                for &v in batch {
+                    h.record(v);
+                }
+                let cur = h.snapshot();
+                let window = cur.since(&prev);
+                prop_assert_eq!(window.count, batch.len() as u64);
+                prop_assert_eq!(window.counts, snapshot_of(batch).counts);
+                prop_assert!(window.p50() <= window.p99(), "window p50 > p99");
+                // A reset between polls reads as an empty window.
+                prop_assert_eq!(Histogram::new().snapshot().since(&cur).count, 0);
+                windowed += window.count;
+                prev = cur;
+            }
+            prop_assert_eq!(windowed, h.snapshot().count);
             Ok(())
         },
     );

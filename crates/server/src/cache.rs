@@ -25,6 +25,8 @@ use std::sync::{Arc, Mutex};
 
 use datareuse_obs::{add, flight_record, Counter, FlightKind, TraceCtx};
 
+use crate::lock;
+
 struct Entry {
     tick: u64,
     value: Arc<str>,
@@ -75,7 +77,7 @@ impl ResultCache {
         if self.per_shard == 0 {
             return None;
         }
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = lock(self.shard(key));
         shard.tick += 1;
         let tick = shard.tick;
         // The flight recorder correlates the probe with the request via
@@ -101,7 +103,7 @@ impl ResultCache {
         if self.per_shard == 0 {
             return;
         }
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = lock(self.shard(key));
         shard.tick += 1;
         let tick = shard.tick;
         if !shard.entries.contains_key(&key) && shard.entries.len() >= self.per_shard {
@@ -125,7 +127,7 @@ impl ResultCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
+            .map(|s| lock(s).entries.len())
             .sum()
     }
 
@@ -145,7 +147,7 @@ impl ResultCache {
     pub fn entries(&self) -> Vec<(u64, Arc<str>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
+            let shard = lock(shard);
             out.extend(
                 shard
                     .entries

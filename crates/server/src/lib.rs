@@ -43,6 +43,8 @@ pub mod server;
 pub mod singleflight;
 pub mod snapshot;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use cache::ResultCache;
 pub use client::Client;
 pub use ops::OpError;
@@ -50,3 +52,11 @@ pub use pool::WorkerPool;
 pub use protocol::{cache_key, Request};
 pub use server::{Server, ServerConfig, SloThresholds};
 pub use singleflight::{JoinRole, SingleFlight};
+
+/// Locks `mutex`, recovering the guard if a thread panicked while
+/// holding it. Every critical section in this crate only moves values
+/// into or out of a collection and calls no callback, so a poisoned
+/// lock still guards consistent data and serving can go on.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -16,10 +16,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use datareuse_obs::{gauge_add, gauge_max, gauge_sub, Gauge};
+
+use crate::lock;
 
 /// A unit of queued work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -51,7 +53,7 @@ impl WorkerPool {
                 let queue = std::sync::Arc::clone(&queue);
                 std::thread::spawn(move || loop {
                     let job = {
-                        let mut jobs = queue.jobs.lock().expect("job queue poisoned");
+                        let mut jobs = lock(&queue.jobs);
                         loop {
                             if let Some(job) = jobs.pop_front() {
                                 // The depth gauge tracks *waiting* jobs:
@@ -63,7 +65,7 @@ impl WorkerPool {
                             if queue.draining.load(Ordering::Acquire) {
                                 break None;
                             }
-                            jobs = queue.ready.wait(jobs).expect("job queue poisoned");
+                            jobs = queue.ready.wait(jobs).unwrap_or_else(PoisonError::into_inner);
                         }
                     };
                     match job {
@@ -90,7 +92,7 @@ impl WorkerPool {
         if self.queue.draining.load(Ordering::Acquire) {
             return Err(job);
         }
-        let mut jobs = self.queue.jobs.lock().expect("job queue poisoned");
+        let mut jobs = lock(&self.queue.jobs);
         if jobs.len() >= self.capacity {
             return Err(job);
         }
@@ -107,7 +109,7 @@ impl WorkerPool {
 
     /// Number of jobs waiting (not yet picked up by a worker).
     pub fn queued(&self) -> usize {
-        self.queue.jobs.lock().expect("job queue poisoned").len()
+        lock(&self.queue.jobs).len()
     }
 
     /// Stops accepting work, lets the workers finish everything already
@@ -115,8 +117,7 @@ impl WorkerPool {
     pub fn drain(&self) {
         self.queue.draining.store(true, Ordering::Release);
         self.queue.ready.notify_all();
-        let workers: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.workers.lock().expect("worker registry poisoned"));
+        let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for worker in workers {
             let _ = worker.join();
         }

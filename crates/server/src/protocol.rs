@@ -32,9 +32,7 @@
 //! `timeout` and `overloaded` errors attach the flight-recorder tail
 //! (the last ~32 structured serving events) under `error.flight` so a
 //! refusal can be debugged after the fact. `stats` accepts an optional
-//! `"flight": true` to include the full recorder tail and an optional
-//! `"series": true` to include the scraped metrics time-series ring;
-//! `health` evaluates the server's SLO thresholds into
+//! `"flight": true` to include the full recorder tail; `health` evaluates the server's SLO thresholds into
 //! `ok`/`degraded`/`failing`; `trace` drains buffered spans as a Chrome
 //! trace-event document; `prom` returns the Prometheus text exposition
 //! as a JSON string; `profile` returns the span-derived self-time
@@ -181,8 +179,6 @@ pub enum Op {
     Stats {
         /// Include the full flight-recorder tail in the response.
         flight: bool,
-        /// Include the scraped metrics time-series ring in the response.
-        series: bool,
     },
     /// SLO evaluation: `ok` / `degraded` / `failing` with per-check
     /// detail (p99 latency, cache hit ratio, queue saturation).
@@ -387,7 +383,6 @@ impl Request {
             }
             "stats" => Op::Stats {
                 flight: get_bool(doc, "flight")?,
-                series: get_bool(doc, "series")?,
             },
             "health" => Op::Health,
             "trace" => Op::Trace,
@@ -664,30 +659,12 @@ mod tests {
     }
 
     #[test]
-    fn op_names_cover_every_parseable_op() {
-        for name in OP_NAMES {
-            let line = match name {
-                "explore" | "pareto" | "report" | "codegen" => {
-                    format!(r#"{{"op":"{name}","kernel":"fir"}}"#)
-                }
-                "batch" => r#"{"op":"batch","requests":[{"op":"ping"}]}"#.to_string(),
-                _ => format!(r#"{{"op":"{name}"}}"#),
-            };
-            let r = Request::parse_line(&line).unwrap();
-            assert_eq!(r.op.name(), name, "OP_NAMES entry round-trips");
-        }
-    }
-
-    #[test]
-    fn stats_accepts_flight_and_series_flags() {
+    fn stats_accepts_the_flight_flag() {
         let r = Request::parse_line(r#"{"op":"stats","flight":true}"#).unwrap();
-        assert_eq!(r.op, Op::Stats { flight: true, series: false });
-        let r = Request::parse_line(r#"{"op":"stats","series":true}"#).unwrap();
-        assert_eq!(r.op, Op::Stats { flight: false, series: true });
+        assert_eq!(r.op, Op::Stats { flight: true });
         let r = Request::parse_line(r#"{"op":"stats"}"#).unwrap();
-        assert_eq!(r.op, Op::Stats { flight: false, series: false });
+        assert_eq!(r.op, Op::Stats { flight: false });
         assert!(Request::parse_line(r#"{"op":"stats","flight":3}"#).is_err());
-        assert!(Request::parse_line(r#"{"op":"stats","series":"yes"}"#).is_err());
         assert_eq!(
             Request::parse_line(r#"{"op":"health"}"#).unwrap().op,
             Op::Health

@@ -47,12 +47,12 @@ use std::time::{Duration, Instant};
 
 use datareuse_obs::{
     add, chrome_trace_json, flight_record, flight_tail_json, gauge_add, gauge_sub, gauge_value,
-    hist_snapshot, prometheus_text, record_hist, record_span_at, scrape_series, series_json, span,
-    span_with, take_trace_events, Counter, FlightKind, Gauge, Hist, Json, TraceCtx,
-    FLIGHT_ERROR_TAIL,
+    hist_snapshot, prometheus_text, record_hist, record_span_at, span, span_with,
+    take_trace_events, Counter, FlightKind, Gauge, Hist, Json, TraceCtx, FLIGHT_ERROR_TAIL,
 };
 
 use crate::cache::ResultCache;
+use crate::lock;
 use crate::ops::{self, OpError};
 use crate::pool::WorkerPool;
 use crate::protocol::{
@@ -101,9 +101,6 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Deadline applied to requests that do not carry `deadline_ms`.
     pub default_deadline: Duration,
-    /// Interval between metrics-series scrapes (the background thread
-    /// that feeds `stats {"series":true}`). Zero disables the scraper.
-    pub scrape_interval: Duration,
     /// SLO thresholds evaluated by the `health` op.
     pub slo: SloThresholds,
 }
@@ -118,7 +115,6 @@ impl Default for ServerConfig {
             cache_entries: 256,
             snapshot_path: None,
             default_deadline: Duration::from_secs(30),
-            scrape_interval: Duration::from_secs(1),
             slo: SloThresholds::default(),
         }
     }
@@ -190,7 +186,7 @@ struct Shared {
 impl Shared {
     fn stop(&self) {
         self.stopping.store(true, Ordering::Release);
-        for waker in self.wakers.lock().expect("wakers poisoned").iter() {
+        for waker in lock(&self.wakers).iter() {
             waker.wake();
         }
     }
@@ -200,7 +196,6 @@ impl Shared {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    scrape_interval: Duration,
     loops: usize,
     snapshot_path: Option<PathBuf>,
     snapshot_report: Option<Result<Option<usize>, String>>,
@@ -239,7 +234,6 @@ impl Server {
         Ok(Server {
             listener,
             shared,
-            scrape_interval: config.scrape_interval,
             loops,
             snapshot_path: config.snapshot_path.clone(),
             snapshot_report,
@@ -275,26 +269,6 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot poll listener: {e}"))?;
-        let scraper = (self.scrape_interval > Duration::ZERO).then(|| {
-            let shared = Arc::clone(&self.shared);
-            let interval = self.scrape_interval;
-            std::thread::spawn(move || {
-                // Scrape immediately so even a short-lived server leaves
-                // at least one point, then on the interval. Sleeping in
-                // small slices keeps shutdown prompt without condvars.
-                scrape_series();
-                while !shared.stopping.load(Ordering::Acquire) {
-                    let start = Instant::now();
-                    while start.elapsed() < interval {
-                        if shared.stopping.load(Ordering::Acquire) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(25).min(interval));
-                    }
-                    scrape_series();
-                }
-            })
-        });
         let mut handles = Vec::with_capacity(self.loops);
         let mut result = Ok(());
         for _ in 0..self.loops.max(1) {
@@ -343,9 +317,6 @@ impl Server {
                     result = snapshot::save(&self.shared.cache, path).map(|_| ());
                 }
             }
-        }
-        if let Some(scraper) = scraper {
-            let _ = scraper.join();
         }
         result
     }
@@ -418,9 +389,8 @@ fn memstats_result(shared: &Shared) -> String {
 
 /// Builds the `stats` result: the metrics-v2 snapshot plus a `derived`
 /// section (hit ratio, coalesced count, open connections, queue depths,
-/// requests served) and, on request, the full flight-recorder tail and
-/// the scraped metrics series.
-fn stats_result(shared: &Shared, flight: bool, series: bool) -> String {
+/// requests served) and, on request, the full flight-recorder tail.
+fn stats_result(shared: &Shared, flight: bool) -> String {
     let snap = datareuse_obs::snapshot();
     let hits = snap.counter(Counter::ServeCacheHits);
     let coalesced = snap.counter(Counter::ServeCoalesced);
@@ -445,9 +415,6 @@ fn stats_result(shared: &Shared, flight: bool, series: bool) -> String {
     entries.push(("derived".to_string(), derived));
     if flight {
         entries.push(("flight".to_string(), flight_tail_json(usize::MAX)));
-    }
-    if series {
-        entries.push(("series".to_string(), series_json()));
     }
     Json::Obj(entries).to_string()
 }
@@ -694,11 +661,7 @@ impl EventLoop {
     fn new(listener: TcpListener, shared: Arc<Shared>) -> Result<EventLoop, String> {
         let wake = WakePipe::new().map_err(|e| format!("cannot build wake pipe: {e}"))?;
         let waker = wake.waker();
-        shared
-            .wakers
-            .lock()
-            .expect("wakers poisoned")
-            .push(waker.clone());
+        lock(&shared.wakers).push(waker.clone());
         Ok(EventLoop {
             listener,
             shared,
@@ -818,9 +781,7 @@ impl EventLoop {
 
     /// Drains the completion queue filled by worker callbacks.
     fn apply_completions(&mut self) {
-        let done = std::mem::take(
-            &mut *self.completions.lock().expect("completions poisoned"),
-        );
+        let done = std::mem::take(&mut *lock(&self.completions));
         for completion in done {
             let deliver = match completion.outcome {
                 Ok(raw) => Deliver::Ok {
@@ -885,11 +846,13 @@ impl EventLoop {
             return;
         };
         let mut raw = String::from("{\"responses\":[");
-        for (i, response) in state.responses.into_iter().enumerate() {
+        // `remaining` reached 0, so every sub-response is filled and
+        // `flatten` skips none.
+        for (i, response) in state.responses.iter().flatten().enumerate() {
             if i > 0 {
                 raw.push(',');
             }
-            raw.push_str(&response.expect("finalized batch is complete"));
+            raw.push_str(response);
         }
         raw.push_str("]}");
         self.fill_conn(
@@ -1060,11 +1023,9 @@ impl EventLoop {
         if c.dead {
             return;
         }
-        while let Some(front) = c.slots.front() {
-            if front.response.is_none() {
-                break;
-            }
-            let slot = c.slots.pop_front().expect("front exists");
+        while let Some(response) = c.slots.front_mut().and_then(|s| s.response.take()) {
+            // `front_mut` just yielded this slot, so the pop returns it.
+            let Some(slot) = c.slots.pop_front() else { break };
             let elapsed_ns = slot.started.elapsed().as_nanos() as u64;
             record_hist(
                 if slot.cache_hit {
@@ -1075,8 +1036,7 @@ impl EventLoop {
                 elapsed_ns,
             );
             flight_record(FlightKind::RequestEnd, slot.trace_id, elapsed_ns / 1_000);
-            c.wbuf
-                .extend_from_slice(slot.response.expect("checked above").as_bytes());
+            c.wbuf.extend_from_slice(response.as_bytes());
             c.wbuf.push(b'\n');
         }
         while !c.wbuf.is_empty() {
@@ -1242,7 +1202,7 @@ impl EventLoop {
     fn inline_result(&self, op: &Op) -> Option<Arc<str>> {
         let raw: String = match op {
             Op::Ping => r#""pong""#.to_string(),
-            Op::Stats { flight, series } => stats_result(&self.shared, *flight, *series),
+            Op::Stats { flight } => stats_result(&self.shared, *flight),
             Op::Health => health_result(&self.shared),
             Op::Trace => chrome_trace_json(&take_trace_events()).to_string(),
             Op::Prom => Json::str(prometheus_text(&datareuse_obs::snapshot())).to_string(),
@@ -1366,14 +1326,11 @@ impl EventLoop {
         let completions = Arc::clone(&self.completions);
         let waker = self.waker.clone();
         let subscriber: Subscriber = Box::new(move |outcome, coalesced| {
-            completions
-                .lock()
-                .expect("completions poisoned")
-                .push(Completion {
-                    target,
-                    outcome: outcome.clone(),
-                    coalesced,
-                });
+            lock(&completions).push(Completion {
+                target,
+                outcome: outcome.clone(),
+                coalesced,
+            });
             waker.wake();
         });
         match self.shared.flights.join(key, subscriber) {
@@ -1693,34 +1650,31 @@ mod tests {
     }
 
     #[test]
-    fn stats_series_and_health_report_on_a_live_server() {
+    fn stats_and_health_report_on_a_live_server() {
         let (addr, handle) = start(ServerConfig {
             threads: 1,
-            scrape_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         });
         let responses = roundtrip(
             addr,
             &[
                 r#"{"op":"ping","id":1}"#,
-                r#"{"op":"stats","series":true,"id":2}"#,
+                r#"{"op":"stats","id":2}"#,
                 r#"{"op":"health","id":3}"#,
                 r#"{"op":"shutdown"}"#,
             ],
         );
-        let series = responses[1]
-            .get("result")
-            .and_then(|r| r.get("series"))
-            .expect("series section present when requested");
-        assert_eq!(
-            series.get("schema").and_then(Json::as_str),
-            Some("datareuse-series-v1")
-        );
-        let points = series
-            .get("points")
-            .and_then(Json::as_array)
-            .expect("points array");
-        assert!(!points.is_empty(), "scraper left at least one point");
+        // `top` diffs these cumulative figures between polls.
+        let result = responses[1].get("result").expect("stats result");
+        let cold = result
+            .get("hists")
+            .and_then(|h| h.get("serve_latency_cold_ns"))
+            .expect("cold latency histogram");
+        assert!(datareuse_obs::HistSnapshot::from_json(cold).is_some(), "{cold}");
+        for (section, name) in [("counters", "serve_requests"), ("gauges", "alloc_bytes_total")] {
+            let value = result.get(section).and_then(|s| s.get(name));
+            assert!(value.and_then(Json::as_u64).is_some(), "{section}.{name}");
+        }
         let derived = responses[1]
             .get("result")
             .and_then(|r| r.get("derived"))

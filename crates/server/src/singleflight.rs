@@ -26,6 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use crate::lock;
 use crate::ops::OpError;
 
 /// The shared outcome of one in-flight computation: the serialized
@@ -66,7 +67,7 @@ impl SingleFlight {
     /// none exists. The returned role tells the caller whether it owns
     /// running the computation.
     pub fn join(&self, key: u64, subscriber: Subscriber) -> JoinRole {
-        let mut inflight = self.inflight.lock().expect("singleflight poisoned");
+        let mut inflight = lock(&self.inflight);
         match inflight.entry(key) {
             Entry::Occupied(mut e) => {
                 e.get_mut().push(subscriber);
@@ -85,12 +86,7 @@ impl SingleFlight {
     /// outside the registry lock, so a callback may start a new flight
     /// for the same key without deadlocking.
     pub fn complete(&self, key: u64, outcome: &FlightOutcome) {
-        let subscribers = self
-            .inflight
-            .lock()
-            .expect("singleflight poisoned")
-            .remove(&key)
-            .unwrap_or_default();
+        let subscribers = lock(&self.inflight).remove(&key).unwrap_or_default();
         for (i, subscriber) in subscribers.into_iter().enumerate() {
             subscriber(outcome, i > 0);
         }
@@ -100,11 +96,7 @@ impl SingleFlight {
     /// flight exists). Workers use this to decide whether an expired
     /// leader may skip the compute: only when nobody else is waiting.
     pub fn waiting(&self, key: u64) -> usize {
-        self.inflight
-            .lock()
-            .expect("singleflight poisoned")
-            .get(&key)
-            .map_or(0, Vec::len)
+        lock(&self.inflight).get(&key).map_or(0, Vec::len)
     }
 }
 

@@ -6,9 +6,10 @@
 # library alone (see README "Zero dependencies").
 #
 # Every gate lives in a Rust test: the serving smoke, doc drift, explain
-# tallies, cross-validation, profiler exports, the bench-serve ramp and
-# the compiled codegen self-checks all run under `cargo test`. The
-# end-to-end benchmark is drbench (crates/bench/src/bin/drbench/run.sh).
+# tallies, cross-validation, profiler exports, the 200-connection serve
+# test and the compiled codegen self-checks all run under `cargo test`.
+# The one end-to-end benchmark is drbench
+# (crates/bench/src/bin/drbench/run.sh).
 set -eu
 
 cd "$(dirname "$0")/.."

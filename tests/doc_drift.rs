@@ -8,7 +8,8 @@
 //! exposes must appear in the runbook, and every op section in the
 //! runbook must name a real wire op. `cargo test` runs this test;
 //! adding an op or a serve counter without documenting it fails
-//! the build, as does documenting an op that no longer exists.
+//! the build, as does documenting an op or a serving flag that no
+//! longer exists.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,6 +22,14 @@ use datareuse::server::protocol::{
 fn repo_file(rel: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel);
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The CLI usage summary: the `USAGE` constant's text.
+fn usage_text() -> String {
+    let cli = repo_file("crates/cli/src/main.rs");
+    let start = cli.find("const USAGE:").expect("usage text present");
+    let end = cli[start..].find("\";").map_or(cli.len(), |e| start + e);
+    cli[start..end].to_string()
 }
 
 #[test]
@@ -124,11 +133,7 @@ fn every_query_exit_code_has_a_table_row() {
 fn the_usage_text_and_docs_cover_the_expression_workflow() {
     // The usage summary is the authoritative surface of the CLI; the
     // expression front end's flags and subcommands must appear there.
-    let cli = repo_file("crates/cli/src/main.rs");
-    let usage_start = cli.find("const USAGE:").expect("usage text present");
-    let usage = &cli[usage_start..cli[usage_start..]
-        .find("\";")
-        .map_or(cli.len(), |e| usage_start + e)];
+    let usage = usage_text();
     for needle in ["gen-matmul-32x32x32", "--expr", "--rust", "kernels [--json]"] {
         assert!(
             usage.contains(needle),
@@ -155,6 +160,37 @@ fn the_usage_text_and_docs_cover_the_expression_workflow() {
             "EXPERIMENTS.md does not walk through the corpus sweep (`{needle}`)"
         );
     }
+}
+
+#[test]
+fn every_serving_flag_the_docs_show_is_in_the_usage_text() {
+    // The reverse of the checks above: a flag the docs show on a
+    // `serve`/`top`/`query` command line (or continuation line), or in
+    // the runbook's flag table, must still exist, so a retired flag
+    // cannot linger in the docs.
+    let usage = usage_text();
+    let mut checked = 0;
+    for file in ["docs/SERVING.md", "README.md"] {
+        let mut continued = false;
+        for line in repo_file(file).lines() {
+            let command = ["datareuse serve", "datareuse top", "datareuse query"]
+                .iter()
+                .any(|c| line.contains(c));
+            if command || continued || line.starts_with("| `--") {
+                for flag in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                    if flag.len() > 2 && flag.starts_with("--") {
+                        assert!(
+                            usage.contains(flag),
+                            "{file} shows `{flag}`, which the CLI usage text does not list:\n{line}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            continued = (command || continued) && line.trim_end().ends_with('\\');
+        }
+    }
+    assert!(checked >= 20, "only {checked} documented flags found");
 }
 
 #[test]
@@ -193,11 +229,7 @@ fn every_metric_in_code_is_documented_in_the_observability_guide() {
 
 #[test]
 fn the_usage_text_and_observability_guide_cover_the_profiler() {
-    let cli = repo_file("crates/cli/src/main.rs");
-    let usage_start = cli.find("const USAGE:").expect("usage text present");
-    let usage = &cli[usage_start..cli[usage_start..]
-        .find("\";")
-        .map_or(cli.len(), |e| usage_start + e)];
+    let usage = usage_text();
     for needle in ["--profile-out", "--alloc-profile"] {
         assert!(
             usage.contains(needle),
@@ -213,7 +245,6 @@ fn the_usage_text_and_observability_guide_cover_the_profiler() {
         "memstats",
         "datareuse-memstats-v1",
         "datareuse-metrics-v2",
-        "datareuse-series-v1",
         "drbench",
         "alloc_kb_per_op",
     ] {
