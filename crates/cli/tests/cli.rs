@@ -87,6 +87,47 @@ fn inline_expressions_explore_like_builtin_kernels() {
 }
 
 #[test]
+fn arrays_read_through_one_index_expression_explore_apart() {
+    // `B` reads through `A`'s exact index expression. Each array is its
+    // own signal, so `A` explores exactly as it does without the `B`
+    // read, from an einsum and from a .dr file alike.
+    let (ok, shared, stderr) = datareuse(&[
+        "explore",
+        "C[i] += A[i,k] * B[i,k]",
+        "--array",
+        "A",
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
+    let (ok, alone, stderr) = datareuse(&["explore", "C[i] += A[i,k]", "--array", "A", "--json"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(shared, alone);
+    let (ok, stdout, stderr) = datareuse(&["report", "C[i] += A[i,k] * B[i,k]", "--json"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(r#""array":"B""#), "{stdout}");
+
+    let dir = std::env::temp_dir().join(format!("datareuse_cli_shared_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let nest = |body: &str| {
+        format!("array A[23]; array B[23]; for j in 0..16 {{ for k in 0..8 {{ {body} }} }}")
+    };
+    let shared_dr = dir.join("shared.dr");
+    let alone_dr = dir.join("alone.dr");
+    std::fs::write(&shared_dr, nest("read A[j + k]; read B[j + k];")).unwrap();
+    std::fs::write(&alone_dr, nest("read A[j + k];")).unwrap();
+    let explore_a = |path: &std::path::Path| {
+        let (ok, stdout, stderr) =
+            datareuse(&["explore", path.to_str().unwrap(), "--array", "A", "--json"]);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let shared = explore_a(&shared_dr);
+    assert!(shared.contains(r#""c_tot":128"#), "{shared}");
+    assert_eq!(shared, explore_a(&alone_dr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn expression_parse_errors_print_a_caret_snippet_and_exit_2() {
     let (code, stderr) = exit_code_of(&["explore", "C[i,j] += A[i,k * B[k,j]"]);
     assert_eq!(code, Some(2), "stderr: {stderr}");

@@ -10,9 +10,14 @@
 //!   back to the command's allocator delta (the `alloc: total_bytes N`
 //!   stderr line) within 5% — the same partition invariant, on the
 //!   bytes column.
+//! - One explore fans out one pair sweep per signal, however many access
+//!   groups it has: SUSAN's seven mask-row groups cost as many
+//!   `par_sweeps` as motion estimation's single group.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use datareuse_core::Json;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_datareuse"))
@@ -140,4 +145,39 @@ fn profile_out_without_a_path_is_a_usage_error() {
     let output = run(bin().args(["explore", "fir", "--profile-out"]));
     assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr_of(&output));
     assert!(stderr_of(&output).contains("--profile-out expects a file path"));
+}
+
+#[test]
+fn every_access_group_shares_one_pair_sweep() {
+    let scratch = Scratch::new("sweeps");
+    let counters = |kernel: &str| {
+        let path = scratch.path(&format!("{kernel}.json"));
+        let output = run(bin().args(["explore", kernel, "--metrics"]).arg(&path));
+        assert!(
+            output.status.success(),
+            "explore {kernel} failed:\n{}",
+            stderr_of(&output)
+        );
+        let doc = Json::parse(&std::fs::read_to_string(&path).expect("metrics written"))
+            .expect("metrics JSON parses");
+        let count = |name: &str| {
+            doc.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("no counter `{name}` for {kernel}"))
+        };
+        (
+            count("explore_groups"),
+            count("explore_pairs_swept"),
+            count("par_sweeps"),
+        )
+    };
+    let (susan_groups, susan_pairs, susan_sweeps) = counters("susan");
+    let (me_groups, _, me_sweeps) = counters("me");
+    assert_eq!((susan_groups, susan_pairs), (7, 21));
+    assert_eq!(me_groups, 1);
+    assert_eq!(
+        susan_sweeps, me_sweeps,
+        "SUSAN must sweep its 7 groups' pairs in one fan-out"
+    );
 }

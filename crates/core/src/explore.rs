@@ -7,7 +7,9 @@
 //! the paper does for the SUSAN test-vehicle), enumerates copy-candidate
 //! chains, and evaluates them into the power–memory-size Pareto curve.
 
-use datareuse_loopir::{AccessKind, Program};
+use std::borrow::Cow;
+
+use datareuse_loopir::{AccessKind, LoopNest, Program};
 use datareuse_memmodel::{
     evaluate_chain, pareto_front, pareto_front_explained, AreaModel, ChainCost, CopyChain,
     MemoryTechnology, ParetoPoint,
@@ -16,7 +18,7 @@ use datareuse_obs::{add, span, Counter, Explain};
 
 use crate::error::AnalyzeError;
 use crate::explain::{emit_candidate_records, emit_chain_records, symbolic_record, PairVector};
-use crate::footprint::{footprint_levels, footprint_levels_merged, guarded_count};
+use crate::footprint::{footprint_levels, footprint_levels_merged, group_members, guarded_count};
 use crate::symbolic::{symbolic_profile, SymbolicFallback, SymbolicProfile};
 use crate::levels::{
     dedupe_candidates, dedupe_candidates_explained, enumerate_chains, CandidatePoint,
@@ -67,7 +69,8 @@ impl Default for ExploreOptions {
     }
 }
 
-/// One group of accesses sharing an index expression within one nest.
+/// One group of reads of the signal through one index expression within
+/// one nest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessGroup {
     /// Nest index within the program.
@@ -99,29 +102,36 @@ pub struct SignalExploration {
     pub candidates: Vec<CandidatePoint>,
 }
 
+/// The pairwise max/partial/bypass points (eq. 12–22) of every access
+/// group, swept in one fan-out. `groups` names each group's normalized
+/// nest and representative access. The result holds one candidate list
+/// per group, in input order, each point paired with its pair-geometry
+/// annotation when `annotate` is set.
 fn pair_candidates(
-    nest: &datareuse_loopir::LoopNest,
-    access: usize,
+    groups: &[(&LoopNest, usize)],
     opts: &ExploreOptions,
     annotate: bool,
-) -> (Vec<CandidatePoint>, Vec<Option<PairVector>>) {
-    let depth = nest.depth();
+) -> Vec<(Vec<CandidatePoint>, Vec<Option<PairVector>>)> {
     let mut pairs = Vec::new();
-    for outer in 0..depth.saturating_sub(1) {
-        for inner in outer + 1..depth {
-            pairs.push((outer, inner));
+    for (group, (nest, _)) in groups.iter().enumerate() {
+        let depth = nest.depth();
+        for outer in 0..depth.saturating_sub(1) {
+            for inner in outer + 1..depth {
+                pairs.push((group, outer, inner));
+            }
         }
     }
-    // Each (outer, inner) geometry is independent: its max-reuse point and
-    // γ sweeps read only the nest. Fan the pairs out and flatten back in
-    // pair order, so the candidate stream is identical to the sequential
-    // loop's.
+    // Each (group, outer, inner) geometry is independent: its max-reuse
+    // point and γ sweeps read only the nest. Fan every pair of the signal
+    // out at once and flatten back in group order, then pair order, so
+    // the candidate stream is identical to the sequential loop's.
     let _timer = span("pairs");
     add(Counter::ExplorePairsSwept, pairs.len() as u64);
     let threads = crate::par::resolve_threads(opts.threads);
-    let per_pair = crate::par::parallel_map(threads, pairs, |(outer, inner)| {
+    let per_pair = crate::par::parallel_map(threads, pairs, |(group, outer, inner)| {
+        let (nest, access) = groups[group];
         let Ok(geom) = PairGeometry::from_access(nest, access, outer, inner) else {
-            return (Vec::new(), None);
+            return (group, Vec::new(), None);
         };
         let exact = !geom.approximate;
         let mut out = Vec::new();
@@ -141,17 +151,17 @@ fn pair_candidates(
         // The pair's geometry annotates every point it produced; skipped
         // entirely when no audit sink is attached.
         let vector = annotate.then(|| PairVector::from_geometry(&geom)).flatten();
-        (out, vector)
+        (group, out, vector)
     });
-    let mut points = Vec::new();
-    let mut annots = Vec::new();
-    for (pts, vector) in per_pair {
+    let mut out = vec![(Vec::new(), Vec::new()); groups.len()];
+    for (group, pts, vector) in per_pair {
+        let (points, annots) = &mut out[group];
         if annotate {
             annots.resize(annots.len() + pts.len(), vector);
         }
         points.extend(pts);
     }
-    (points, annots)
+    out
 }
 
 /// Explores all read accesses to `array` in `program`.
@@ -214,39 +224,47 @@ pub fn explore_signal_explained(
     let decl = program
         .array(array)
         .ok_or_else(|| AnalyzeError::UnknownArray(array.to_string()))?;
-    let mut groups = Vec::new();
-    // Cross-group combination sums by source over group 0's seeds, so the
-    // pair-geometry annotations of the first group cover the whole pool.
-    let mut first_annots: Vec<Option<PairVector>> = Vec::new();
+    // The paper step-normalizes a nest "(temporarily)" before its
+    // pairwise analysis (Sec. 5). Do it once per nest that reads the
+    // signal, so every analysis below borrows the normal form instead of
+    // rebuilding it per call.
+    let mut nests: Vec<(usize, Cow<'_, LoopNest>, Vec<usize>)> = Vec::new();
     for (nest_idx, nest) in program.nests().iter().enumerate() {
-        let mut seen: Vec<&[datareuse_loopir::AffineExpr]> = Vec::new();
-        for (access_idx, acc) in nest.accesses().iter().enumerate() {
-            if acc.array() != array || acc.kind() != AccessKind::Read {
-                continue;
-            }
-            if seen.contains(&acc.indices()) {
+        let reads: Vec<usize> = nest
+            .accesses()
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.array() == array && a.kind() == AccessKind::Read)
+            .map(|(i, _)| i)
+            .collect();
+        if !reads.is_empty() {
+            nests.push((nest_idx, nest.normalized(), reads));
+        }
+    }
+    let mut groups = Vec::new();
+    let mut sweeps: Vec<(&LoopNest, usize)> = Vec::new();
+    for &(nest_idx, ref norm, ref reads) in &nests {
+        let nest = &program.nests()[nest_idx];
+        for &access_idx in reads {
+            let members = group_members(nest, &nest.accesses()[access_idx]);
+            if members[0] != access_idx {
                 continue; // merged into an earlier group
             }
-            seen.push(acc.indices());
-            let members: Vec<&datareuse_loopir::Access> = nest
-                .accesses()
-                .iter()
-                .filter(|a| a.indices() == acc.indices() && a.kind() == AccessKind::Read)
-                .collect();
             // Guard-aware C_tot: guarded accesses (the SUSAN circular
             // mask) execute on a subset of the iteration space.
             let c_tot = members
                 .iter()
-                .try_fold(0u64, |sum, a| sum.checked_add(guarded_count(nest, a).0))
+                .try_fold(0u64, |sum, &a| {
+                    sum.checked_add(guarded_count(nest, &nest.accesses()[a]).0)
+                })
                 .ok_or(AnalyzeError::Overflow)?;
-            let annotate = explain.is_some() && groups.is_empty();
             let mut candidates = Vec::new();
             // Default analysis path: closed-form symbolic profile. The
             // enumeration path runs only for non-conforming groups (the
             // `sim_fallbacks` counter and the `symbolic-profile` audit
             // record say which and why); where both apply their outputs
             // are identical (pinned by tests/symbolic.rs).
-            match symbolic_profile(nest, access_idx) {
+            match symbolic_profile(norm, access_idx) {
                 Ok(profile) => {
                     add(Counter::SymbolicHits, 1);
                     if let Some(sink) = explain {
@@ -267,17 +285,12 @@ pub fn explore_signal_explained(
                     if fallback == SymbolicFallback::Overflow {
                         return Err(AnalyzeError::Overflow);
                     }
-                    for level in footprint_levels(nest, access_idx)? {
+                    for level in footprint_levels(norm, access_idx)? {
                         candidates.push(CandidatePoint::from_footprint(&level, nest.depth()));
                     }
                 }
             }
-            let (pair_points, pair_annots) = pair_candidates(nest, access_idx, opts, annotate);
-            if annotate {
-                first_annots = vec![None; candidates.len()];
-                first_annots.extend(pair_annots);
-            }
-            candidates.extend(pair_points);
+            sweeps.push((norm, access_idx));
             groups.push(AccessGroup {
                 nest: nest_idx,
                 access: access_idx,
@@ -289,6 +302,17 @@ pub fn explore_signal_explained(
     }
     if groups.is_empty() {
         return Err(AnalyzeError::NoAccesses(array.to_string()));
+    }
+    // Cross-group combination sums by source over group 0's seeds, so the
+    // pair-geometry annotations of the first group cover the whole pool.
+    let mut first_annots: Vec<Option<PairVector>> = Vec::new();
+    let swept = pair_candidates(&sweeps, opts, explain.is_some());
+    for (i, (g, (pair_points, pair_annots))) in groups.iter_mut().zip(swept).enumerate() {
+        if explain.is_some() && i == 0 {
+            first_annots = vec![None; g.candidates.len()];
+            first_annots.extend(pair_annots);
+        }
+        g.candidates.extend(pair_points);
     }
     add(Counter::ExploreGroups, groups.len() as u64);
     add(
@@ -312,18 +336,11 @@ pub fn explore_signal_explained(
     // paper's merged copy-candidates (Section 6.4). A single buffer
     // holding the union footprint serves all mask rows at once, turning
     // seven single-sweep accesses into one high-reuse rolling buffer.
-    for (nest_idx, nest) in program.nests().iter().enumerate() {
-        let members: Vec<usize> = nest
-            .accesses()
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.array() == array && a.kind() == AccessKind::Read)
-            .map(|(i, _)| i)
-            .collect();
+    for &(nest_idx, ref nest, ref members) in &nests {
         if members.len() < 2 {
             continue;
         }
-        match SymbolicProfile::analyze(nest, &members) {
+        match SymbolicProfile::analyze(nest, members) {
             Ok(profile) => {
                 add(Counter::SymbolicHits, 1);
                 if let Some(sink) = explain {
@@ -341,7 +358,7 @@ pub fn explore_signal_explained(
                 // Enumeration may still refuse (accesses that are not
                 // translations of each other produce no shared candidate
                 // on either path — no fallback work ran, no counter).
-                if let Ok(levels) = footprint_levels_merged(nest, &members) {
+                if let Ok(levels) = footprint_levels_merged(nest, members) {
                     add(Counter::SimFallbacks, 1);
                     add(fallback_counter(fallback), 1);
                     if let Some(sink) = explain {
@@ -754,41 +771,87 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_single_thread() {
         // A 4-deep nest gives 6 loop pairs, so the fan-out is exercised
-        // with real work per worker; the Pareto points must be
-        // bit-identical between the sequential fallback and any worker
-        // count.
-        let p = parse_program(
+        // with real work per worker. The SUSAN-shaped program (offset
+        // loops, guarded mask rows, several groups over two nests) sweeps
+        // every group's pairs in one fan-out, so it also pins that results
+        // come back in group order, then pair order. The Pareto points
+        // must be bit-identical between the sequential fallback and any
+        // worker count.
+        let window = parse_program(
             "array A[1056];
              for f in 0..4 { for j in 0..16 { for k in 0..8 { for d in 0..4 {
                  read A[64*f + 2*j + k + d];
              } } } }",
         )
         .unwrap();
+        let susan = parse_program(
+            "array A[12][40];
+             for y in 3..9 { for x in 3..30 { for d in -3..4 {
+                 read A[y - 1][x + d] if d >= -2;
+                 read A[y][x + d] if d != 0;
+                 read A[y + 1][x + d];
+             } } }
+             for y in 3..9 { for x in 3..30 { for d in -2..3 {
+                 read A[y - 2][x + d];
+                 read A[y + 2][x + d] if d <= 1;
+             } } }",
+        )
+        .unwrap();
         let single = ExploreOptions {
             threads: Some(1),
             ..ExploreOptions::default()
         };
-        let ex_single = explore_signal(&p, "A", &single).unwrap();
         let tech = MemoryTechnology::new();
-        let front_single = ex_single.pareto(&single, &tech, &BitCount);
-        for workers in [2usize, 4, 16] {
-            let multi = ExploreOptions {
-                threads: Some(workers),
-                ..ExploreOptions::default()
-            };
-            let ex_multi = explore_signal(&p, "A", &multi).unwrap();
-            assert_eq!(ex_single, ex_multi, "candidates differ at {workers} workers");
-            let front_multi = ex_multi.pareto(&multi, &tech, &BitCount);
-            assert_eq!(front_single.len(), front_multi.len());
-            for (a, b) in front_single.iter().zip(&front_multi) {
-                assert_eq!(a.size, b.size);
-                assert_eq!(a.power, b.power);
-                assert_eq!(a.payload.0, b.payload.0);
+        for p in [window, susan] {
+            let ex_single = explore_signal(&p, "A", &single).unwrap();
+            let front_single = ex_single.pareto(&single, &tech, &BitCount);
+            for workers in [2usize, 4, 16] {
+                let multi = ExploreOptions {
+                    threads: Some(workers),
+                    ..ExploreOptions::default()
+                };
+                let ex_multi = explore_signal(&p, "A", &multi).unwrap();
+                assert_eq!(
+                    ex_single, ex_multi,
+                    "candidates differ at {workers} workers"
+                );
+                let front_multi = ex_multi.pareto(&multi, &tech, &BitCount);
+                assert_eq!(front_single.len(), front_multi.len());
+                for (a, b) in front_single.iter().zip(&front_multi) {
+                    assert_eq!(a.size, b.size);
+                    assert_eq!(a.power, b.power);
+                    assert_eq!(a.payload.0, b.payload.0);
+                }
+                let best_single = ex_single.best_chain(&single, &tech, &BitCount, 1.0, 0.1);
+                let best_multi = ex_multi.best_chain(&multi, &tech, &BitCount, 1.0, 0.1);
+                assert_eq!(best_single.0, best_multi.0);
             }
-            let best_single = ex_single.best_chain(&single, &tech, &BitCount, 1.0, 0.1);
-            let best_multi = ex_multi.best_chain(&multi, &tech, &BitCount, 1.0, 0.1);
-            assert_eq!(best_single.0, best_multi.0);
         }
+    }
+
+    #[test]
+    fn groups_do_not_span_arrays() {
+        // `B` reads through the same index expression as `A`; it must
+        // neither join `A`'s group nor change `A`'s result.
+        let alone = parse_program(
+            "array A[8][8]; array B[8][8];
+             for i in 0..8 { for k in 0..8 { read A[i][k]; } }",
+        )
+        .unwrap();
+        let shared = parse_program(
+            "array A[8][8]; array B[8][8];
+             for i in 0..8 { for k in 0..8 { read A[i][k]; read B[i][k]; } }",
+        )
+        .unwrap();
+        let opts = ExploreOptions::default();
+        let a = explore_signal(&shared, "A", &opts).unwrap();
+        assert_eq!(a, explore_signal(&alone, "A", &opts).unwrap());
+        assert_eq!(
+            (a.groups.len(), a.groups[0].group_size, a.c_tot),
+            (1, 1, 64)
+        );
+        let b = explore_signal(&shared, "B", &opts).unwrap();
+        assert_eq!((b.groups[0].access, b.c_tot), (1, 64));
     }
 
     #[test]

@@ -322,10 +322,27 @@ pub fn read_count(program: &Program, array: &str) -> u64 {
         .fold(0u64, |total, (nest, acc)| total.saturating_add(guarded_count(nest, acc).0))
 }
 
+/// The access group of `rep` in `nest`: the indices of every access
+/// with the same array, kind and index expressions, in body order. All
+/// reads of one group hit the same copy, so every analysis that merges
+/// accesses (`C_tot`, footprint levels, the symbolic profile, the pair
+/// geometry's group size) groups through here.
+pub(crate) fn group_members(nest: &LoopNest, rep: &Access) -> Vec<usize> {
+    nest.accesses()
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| {
+            a.array() == rep.array() && a.kind() == rep.kind() && a.indices() == rep.indices()
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
 /// Computes the footprint-level candidates of `nest.accesses()[access]`
 /// for every depth `1..=nest.depth()`, pruning useless levels
-/// (`F_R = 1`). Accesses in the body sharing the exact index expression
-/// are merged into the candidate (their reads all hit the same copy).
+/// (`F_R = 1`). Accesses in the body reading the same array through the
+/// exact same index expression are merged into the candidate (their
+/// reads all hit the same copy).
 ///
 /// # Errors
 ///
@@ -356,14 +373,7 @@ pub fn footprint_levels(
         .accesses()
         .get(access)
         .ok_or(AnalyzeError::NoSuchAccess { index: access })?;
-    let members: Vec<usize> = nest
-        .accesses()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.indices() == raw.indices() && a.kind() == raw.kind())
-        .map(|(i, _)| i)
-        .collect();
-    footprint_levels_merged(nest, &members)
+    footprint_levels_merged(nest, &group_members(nest, raw))
 }
 
 /// Computes footprint-level candidates for a *shared* copy serving several

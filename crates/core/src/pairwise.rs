@@ -47,8 +47,9 @@ pub struct PairGeometry {
     pub repeat_same: u64,
     /// Number of times the outer loops execute the analyzed sub-nest.
     pub invocations: u64,
-    /// Number of accesses sharing this exact index expression (merged
-    /// copy-candidates, as done for the SUSAN test-vehicle).
+    /// Number of accesses reading the same array through this exact
+    /// index expression (merged copy-candidates, as done for the SUSAN
+    /// test-vehicle).
     pub group_size: u64,
     /// True when a guard makes the counts approximate (the paper's SUSAN
     /// conditional).
@@ -101,12 +102,7 @@ impl PairGeometry {
             .accesses()
             .get(access)
             .ok_or(AnalyzeError::NoSuchAccess { index: access })?;
-        let signature = raw_access.indices().to_vec();
-        let group_size = nest
-            .accesses()
-            .iter()
-            .filter(|a| a.indices() == signature && a.kind() == raw_access.kind())
-            .count() as u64;
+        let group_size = crate::footprint::group_members(nest, raw_access).len() as u64;
 
         let nest = nest.normalized();
         if outer >= inner {
@@ -262,7 +258,7 @@ pub fn max_reuse(geom: &PairGeometry) -> Option<ReusePoint> {
                 // Re-swept slices keep the whole current window (every
                 // element is reused by the next sweep), so the candidate
                 // must span the union of the last c' j-windows.
-                window_union_size(bp, cp, k_range)
+                window_union_size(cp, k_range)
             } else if anti {
                 // Anti-diagonal orientation: reuse lands b' iterations
                 // later in the next k sweep, extending occupancy.
@@ -284,19 +280,12 @@ pub fn max_reuse(geom: &PairGeometry) -> Option<ReusePoint> {
 
 /// Number of distinct elements in the union of `c'` consecutive
 /// `j`-windows: `|{b'·a + c'·k : a ∈ [0, c'), k ∈ [0, kRANGE)}|`.
-/// Falls back to the `c'·kRANGE` upper bound beyond an enumeration budget.
-fn window_union_size(bp: i64, cp: i64, k_range: i64) -> u64 {
-    let bound = (cp * k_range) as u64;
-    if bound > 1 << 20 {
-        return bound.max(1);
-    }
-    let mut values = std::collections::BTreeSet::new();
-    for a in 0..cp.max(1) {
-        for k in 0..k_range {
-            values.insert(bp * a + cp * k);
-        }
-    }
-    values.len().max(1) as u64
+///
+/// [`ReuseClass::classify`] makes `(b', c')` coprime, so each `a` fills
+/// its own residue class mod `c'` with `kRANGE` distinct values: the
+/// union has exactly `c'·kRANGE` elements (one when `c' = 0`).
+fn window_union_size(cp: i64, k_range: i64) -> u64 {
+    (cp * k_range).max(1) as u64
 }
 
 #[cfg(test)]
@@ -601,6 +590,32 @@ mod tests {
         assert_eq!(point.c_tot, trace.len() as u64);
         let sim = opt_simulate(&trace, point.size);
         assert_eq!(point.fills, sim.fills);
+    }
+
+    #[test]
+    fn window_union_size_matches_enumeration() {
+        // Oracle: walk every b'·a + c'·k of the c' windows. The (b', c')
+        // pairs come out of `classify`, so they are coprime as in use.
+        for b in 0..=8 {
+            for c in 0..=8 {
+                let Some((bp, cp)) = ReuseClass::classify(&[(b, c)]).vector() else {
+                    continue;
+                };
+                for k_range in 1..30 {
+                    let mut union = std::collections::BTreeSet::new();
+                    for a in 0..cp.max(1) {
+                        for k in 0..k_range {
+                            union.insert(bp * a + cp * k);
+                        }
+                    }
+                    assert_eq!(
+                        window_union_size(cp, k_range),
+                        union.len() as u64,
+                        "b'={bp} c'={cp} K={k_range}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -413,8 +413,8 @@ impl ReuseHistogram {
 }
 
 /// The symbolic twin of [`crate::footprint_levels`]: groups the accesses
-/// sharing `nest.accesses()[access]`'s exact index expression and kind,
-/// then analyzes the group symbolically.
+/// sharing `nest.accesses()[access]`'s array, exact index expression and
+/// kind, then analyzes the group symbolically.
 ///
 /// # Errors
 ///
@@ -428,14 +428,7 @@ pub fn symbolic_profile(
         .accesses()
         .get(access)
         .ok_or(SymbolicFallback::BadAccess)?;
-    let members: Vec<usize> = nest
-        .accesses()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.indices() == raw.indices() && a.kind() == raw.kind())
-        .map(|(i, _)| i)
-        .collect();
-    SymbolicProfile::analyze(nest, &members)
+    SymbolicProfile::analyze(nest, &crate::footprint::group_members(nest, raw))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use datareuse_core::{
     dedupe_candidates, dedupe_candidates_explained, explore_signal, explore_signal_explained,
     CandidatePoint, CandidateSource, CandidateVerdict, ExploreOptions, Json,
 };
-use datareuse_loopir::parse_program;
+use datareuse_loopir::{parse_program, Program};
 use datareuse_obs::Explain;
 use datareuse_proptest::{check, prop_assert, prop_assert_eq, Config, Rng};
 
@@ -95,25 +95,62 @@ fn every_candidate_gets_exactly_one_terminal_verdict() {
     );
 }
 
-/// Draws a random 2–3-deep sliding-window program. Shapes are kept small
-/// so the full explore driver stays fast across all cases.
+/// Appends `for NAME in LOWER..=UPPER step STEP {` with a small random
+/// trip count, a lower bound in 0..=3 and a step in 1..=3, and returns
+/// the loop's last value.
+fn any_loop(rng: &mut Rng, name: &str, out: &mut String) -> u64 {
+    let lower = rng.u64_in(0, 3);
+    let step = rng.u64_in(1, 3);
+    let upper = lower + step * (rng.u64_in(2, 8) - 1);
+    out.push_str(&format!("for {name} in {lower}..={upper} step {step} {{ "));
+    upper
+}
+
+/// Draws a random program of 1–3 sliding-window nests over one array,
+/// each 2–3 deep. Offset and stepped loops make normalization rewrite
+/// the index expressions, and a guarded, translated second read gives
+/// some nests two access groups and a merged candidate. Shapes are kept
+/// small so the full explore driver stays fast across all cases.
 fn any_program(rng: &mut Rng) -> String {
-    let j = rng.u64_in(2, 12);
-    let k = rng.u64_in(2, 9);
-    let stride = rng.u64_in(1, 3);
-    if rng.u64_in(0, 1) == 0 {
-        let len = j * stride + k + 1;
-        format!(
-            "array A[{len}]; for j in 0..{j} {{ for k in 0..{k} {{ read A[{stride}*j + k]; }} }}"
-        )
-    } else {
-        let f = rng.u64_in(2, 4);
-        let len = f * 16 + j * stride + k + 1;
-        format!(
-            "array A[{len}]; for f in 0..{f} {{ for j in 0..{j} {{ for k in 0..{k} {{ \
-             read A[16*f + {stride}*j + k]; }} }} }}"
-        )
+    let mut nests = String::new();
+    let mut max_index = 0;
+    for _ in 0..rng.u64_in(1, 3) {
+        let stride = rng.u64_in(1, 3);
+        let (deep, f_max) = if rng.u64_in(0, 1) == 0 {
+            (false, 0)
+        } else {
+            (true, any_loop(rng, "f", &mut nests))
+        };
+        let j_max = any_loop(rng, "j", &mut nests);
+        let k_max = any_loop(rng, "k", &mut nests);
+        let index = if deep {
+            format!("16*f + {stride}*j + k")
+        } else {
+            format!("{stride}*j + k")
+        };
+        nests.push_str(&format!("read A[{index}]; "));
+        if rng.u64_in(0, 1) == 0 {
+            let offset = rng.u64_in(1, 3);
+            let skip = rng.u64_in(0, 8);
+            nests.push_str(&format!("read A[{index} + {offset}] if k != {skip}; "));
+        }
+        nests.push_str(if deep { "} } } " } else { "} } " });
+        max_index = max_index.max(16 * f_max + stride * j_max + k_max);
     }
+    format!("array A[{}]; {nests}", max_index + 4)
+}
+
+/// `program` with every nest replaced by its normal form.
+fn hoisted(program: &Program) -> Result<Program, String> {
+    let mut out = Program::new();
+    for decl in program.arrays() {
+        out.declare(decl.clone()).map_err(|e| e.to_string())?;
+    }
+    for nest in program.nests() {
+        out.push_nest(nest.normalized().into_owned())
+            .map_err(|e| e.to_string())?;
+    }
+    Ok(out)
 }
 
 #[test]
@@ -131,9 +168,12 @@ fn audit_records_cover_the_exploration_exactly_once() {
             let sink = Explain::new();
             let ex = explore_signal_explained(&program, "A", &opts, Some(&sink))
                 .map_err(|e| e.to_string())?;
-            // Audited and unaudited explorations agree bit-for-bit.
+            // Audited and unaudited explorations agree bit-for-bit, and
+            // so does exploring the program normalized up front.
             let plain = explore_signal(&program, "A", &opts).map_err(|e| e.to_string())?;
             prop_assert_eq!(&ex, &plain);
+            let pre = explore_signal(&hoisted(&program)?, "A", &opts).map_err(|e| e.to_string())?;
+            prop_assert_eq!(&pre, &plain);
             let records: Vec<Json> = sink
                 .records()
                 .iter()

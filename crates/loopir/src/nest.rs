@@ -8,6 +8,7 @@
 //! (needed for the SUSAN test-vehicle, whose middle-row loop skips the
 //! reference pixel position).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::BuildNestError;
@@ -504,7 +505,29 @@ impl LoopNest {
 
     /// Returns a nest with all loops normalized to step 1 from 0 and all
     /// index expressions and guards rewritten accordingly.
-    pub fn normalized(&self) -> LoopNest {
+    ///
+    /// A nest whose loops already all start at 0 with step 1 is its own
+    /// normal form and is borrowed, so normalizing twice costs one
+    /// rewrite, not two.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::borrow::Cow;
+    /// use datareuse_loopir::{Access, AffineExpr, Loop, LoopNest};
+    ///
+    /// let nest = LoopNest::new(
+    ///     [Loop::with_step("i", 4, 10, 2)],
+    ///     [Access::read("A", [AffineExpr::var("i")])],
+    /// );
+    /// let norm = nest.normalized();
+    /// assert!(matches!(norm, Cow::Owned(_)));
+    /// assert!(matches!(norm.normalized(), Cow::Borrowed(_)));
+    /// ```
+    pub fn normalized(&self) -> Cow<'_, LoopNest> {
+        if self.loops.iter().all(|l| l.lower() == 0 && l.step() == 1) {
+            return Cow::Borrowed(self);
+        }
         let mut loops = Vec::with_capacity(self.loops.len());
         let mut substs: Vec<(String, AffineExpr)> = Vec::new();
         for l in &self.loops {
@@ -537,7 +560,7 @@ impl LoopNest {
                 }
             })
             .collect();
-        LoopNest { loops, accesses }
+        Cow::Owned(LoopNest { loops, accesses })
     }
 
     /// Validates iterator uniqueness and that every index expression only
@@ -717,6 +740,41 @@ mod tests {
         let idx = &norm.accesses()[0].indices()[0];
         assert_eq!(idx.coeff("i"), 2);
         assert_eq!(idx.constant_part(), 4);
+    }
+
+    #[test]
+    fn normalized_nest_is_borrowed() {
+        let nest = me_like_nest();
+        let norm = nest.normalized();
+        assert!(matches!(norm, Cow::Borrowed(_)));
+        assert!(std::ptr::eq(&*norm, &nest));
+    }
+
+    #[test]
+    fn normalization_is_idempotent_for_offset_and_stepped_nests() {
+        let offset = LoopNest::new(
+            [Loop::new("j", 3, 18), Loop::new("k", 0, 7)],
+            [
+                Access::read("A", [AffineExpr::var("j") + AffineExpr::var("k")]).with_guard(
+                    Guard::new(AffineExpr::var("j"), CmpOp::Ne, AffineExpr::constant(5)),
+                ),
+            ],
+        );
+        let stepped = LoopNest::new(
+            [Loop::new("j", 0, 15), Loop::with_step("k", 1, 13, 3)],
+            [Access::read(
+                "A",
+                [AffineExpr::term("j", 2) + AffineExpr::var("k")],
+            )],
+        );
+        for nest in [offset, stepped] {
+            let once = nest.normalized();
+            assert!(matches!(once, Cow::Owned(_)), "{nest}");
+            let twice = once.normalized();
+            assert!(matches!(twice, Cow::Borrowed(_)), "{nest}");
+            assert_eq!(*twice, *once);
+            assert_eq!(once.iteration_count(), nest.iteration_count());
+        }
     }
 
     #[test]
