@@ -42,11 +42,13 @@
 //! additionally records request traces and writes them as Chrome
 //! trace-event JSON (loadable in Perfetto) when the server drains.
 //!
-//! `--profile-out FILE` additionally opens a root `run` span around the
-//! command and writes the span-derived self-time profile in collapsed-
-//! stack format (one `a;b;c SELF_NS` line, `flamegraph.pl`-compatible)
-//! when the command finishes; a `profile: wall_ns N` line on stderr
-//! reports the measured wall time the self times partition.
+//! `--profile-out FILE` writes the span-derived self-time profile in
+//! collapsed-stack format (one `a;b;c SELF_NS` line, `flamegraph.pl`-
+//! compatible) when the command finishes. Either export (`--metrics` or
+//! `--profile-out`) opens a root `run` span around the command, and
+//! `profile: wall_ns N` and `alloc: total_bytes N` lines on stderr
+//! report the measured wall time and allocation that the spans' self
+//! weights partition.
 //!
 //! `--explain FILE` runs the exploration through the audit sink and
 //! writes one NDJSON record per copy-candidate and per evaluated
@@ -99,9 +101,9 @@ const USAGE: &str = "usage: datareuse <command> [args]
   explore <kernel> [--array NAME] [--depth N] [--json] [--simulate]
                    [--workingset] [--cross-validate] [--gnuplot FILE]
                    [--explain FILE] [--metrics FILE] [--profile-out FILE]
-                   [--alloc-profile FILE] [--progress]
+                   [--progress]
   report  <kernel> [--json] [--explain FILE] [--metrics FILE]
-                   [--profile-out FILE] [--alloc-profile FILE] [--progress]
+                   [--profile-out FILE] [--progress]
   orders  <kernel> [--array NAME] [--limit N]
   curve   <kernel> [--array NAME] --sizes 8,64,512 [--policy opt|opt-bypass]
   codegen <kernel> [--array NAME] [--pair O,I] [--strategy max|partial:G|bypass:G]
@@ -111,7 +113,7 @@ const USAGE: &str = "usage: datareuse <command> [args]
           [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
           [--metrics FILE] [--trace-out FILE] [--slo-p99-ms MS]
           [--slo-hit-ratio R] [--slo-queue F]
-          [--profile-out FILE] [--alloc-profile FILE] [--progress]
+          [--profile-out FILE] [--progress]
   query   --addr HOST:PORT <request-json>...
   top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
 <kernel> is a built-in name (`datareuse kernels`), a generated-corpus name
@@ -336,17 +338,15 @@ fn cmd_emit(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One command's observability lifecycle: `--metrics FILE`,
-/// `--profile-out FILE`, and `--alloc-profile FILE` enable the registry,
-/// `--progress` starts the live narrator, and a root `run` span brackets
-/// the command whenever a profile (time or allocation) was requested so
-/// the exported self weights partition the measured totals.
+/// One command's observability lifecycle: `--metrics FILE` and
+/// `--profile-out FILE` enable the registry and open a root `run` span
+/// around the command, so the exported self weights partition the
+/// measured totals; `--progress` starts the live narrator.
 /// [`Observability::finish`] closes the span and writes the requested
 /// artifacts.
 struct Observability {
     metrics_path: Option<String>,
     profile_path: Option<String>,
-    alloc_profile_path: Option<String>,
     progress: Option<datareuse_obs::Progress>,
     run_span: Option<datareuse_obs::SpanGuard>,
     started: std::time::Instant,
@@ -366,19 +366,17 @@ fn path_flag(args: &Args, name: &str) -> Result<Option<String>, CliError> {
 fn start_observability(args: &Args) -> Result<Observability, CliError> {
     let metrics_path = args.flag("metrics").map(str::to_string);
     let profile_path = path_flag(args, "profile-out")?;
-    let alloc_profile_path = path_flag(args, "alloc-profile")?;
-    if metrics_path.is_some() || profile_path.is_some() || alloc_profile_path.is_some() {
+    let exported = metrics_path.is_some() || profile_path.is_some();
+    if exported {
         datareuse_obs::set_metrics_enabled(true);
     }
-    let run_span = (profile_path.is_some() || alloc_profile_path.is_some())
-        .then(|| datareuse_obs::span("run"));
+    let run_span = exported.then(|| datareuse_obs::span("run"));
     let progress = args
         .has("progress")
         .then(|| datareuse_obs::Progress::start(std::time::Duration::from_secs(1)));
     Ok(Observability {
         metrics_path,
         profile_path,
-        alloc_profile_path,
         progress,
         run_span,
         started: std::time::Instant::now(),
@@ -388,30 +386,24 @@ fn start_observability(args: &Args) -> Result<Observability, CliError> {
 
 impl Observability {
     /// Stops the narrator, closes the root `run` span, and writes the
-    /// profile, allocation-profile, and metrics artifacts if they were
+    /// collapsed-stack profile and the metrics snapshot if they were
     /// requested. The `profile: wall_ns N` and `alloc: total_bytes N`
-    /// stderr lines are the totals the collapsed stacks' (and
-    /// memprofile rows') self weights must sum back to (pinned by the
-    /// CLI gates).
+    /// stderr lines are the totals the spans' self weights must sum back
+    /// to (pinned by the CLI gates).
     fn finish(mut self) -> Result<(), String> {
         self.progress.take();
-        self.run_span.take();
-        if let Some(path) = &self.profile_path {
+        if self.run_span.take().is_some() {
             let wall_ns = self.started.elapsed().as_nanos();
-            eprintln!("profile: wall_ns {wall_ns}");
-            std::fs::write(path, datareuse_obs::collapsed_stacks())
-                .map_err(|e| format!("cannot write profile to `{path}`: {e}"))?;
-            eprintln!("profile (collapsed stacks) written to {path}");
-        }
-        if let Some(path) = &self.alloc_profile_path {
             let total_bytes = datareuse_obs::alloc_snapshot()
                 .bytes_allocated
                 .saturating_sub(self.alloc_baseline);
+            eprintln!("profile: wall_ns {wall_ns}");
             eprintln!("alloc: total_bytes {total_bytes}");
-            let doc = datareuse_obs::memprofile_json().to_string();
-            std::fs::write(path, doc + "\n")
-                .map_err(|e| format!("cannot write alloc profile to `{path}`: {e}"))?;
-            eprintln!("alloc profile (datareuse-memprofile-v1) written to {path}");
+        }
+        if let Some(path) = &self.profile_path {
+            std::fs::write(path, datareuse_obs::collapsed_stacks())
+                .map_err(|e| format!("cannot write profile to `{path}`: {e}"))?;
+            eprintln!("profile (collapsed stacks) written to {path}");
         }
         if let Some(path) = &self.metrics_path {
             write_metrics(path)?;

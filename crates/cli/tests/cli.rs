@@ -329,14 +329,14 @@ fn explore_metrics_emits_valid_json_covering_the_pipeline() {
     let q = |name: &str| sim.get(name).and_then(Json::as_u64).unwrap();
     assert!(q("count") > 0, "simulator runs recorded");
     assert!(q("p50") <= q("p90") && q("p90") <= q("p99"), "percentiles ordered");
-    // Spans timed the exploration stages.
+    // Spans timed the exploration stages under the command's root span.
     let spans = doc.get("spans").and_then(Json::as_array).unwrap();
     let paths: Vec<&str> = spans
         .iter()
         .filter_map(|s| s.get("path").and_then(Json::as_str))
         .collect();
-    assert!(paths.contains(&"explore"), "span paths: {paths:?}");
-    assert!(paths.contains(&"pareto"), "span paths: {paths:?}");
+    assert!(paths.contains(&"run/explore"), "span paths: {paths:?}");
+    assert!(paths.contains(&"run/pareto"), "span paths: {paths:?}");
 }
 
 #[test]
@@ -514,10 +514,17 @@ fn bad_inputs_fail_cleanly() {
 #[test]
 fn overflowing_extents_fail_with_a_typed_error_within_a_second() {
     use std::time::{Duration, Instant};
-    for name in ["overflow_near_i64_max.dr", "overflow_tera_extent.dr"] {
-        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let fixtures = [
+        "overflow_near_i64_max.dr",
+        "overflow_tera_extent.dr",
+        "overflow_index_coefficient.dr",
+    ]
+    .map(|name| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR")));
+    // The einsum's index range `i*2^32` over 2^32 values leaves i64.
+    let einsum = "C[i,j] += A[i*4294967296,j] where i=4294967296, j=3".to_string();
+    for name in fixtures.iter().chain([&einsum]) {
         let mut child = Command::new(env!("CARGO_BIN_EXE_datareuse"))
-            .args(["explore", &path])
+            .args(["explore", name])
             .stderr(std::process::Stdio::piped())
             .spawn()
             .expect("binary runs");
@@ -531,8 +538,12 @@ fn overflowing_extents_fail_with_a_typed_error_within_a_second() {
         }
         let out = child.wait_with_output().expect("exit status");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        // A `.dr` file is a runtime error (1); an expression's parse
+        // error is a usage error (2).
+        let want = if name == &einsum { 2 } else { 1 };
+        assert_eq!(out.status.code(), Some(want), "{name}: {stderr}");
         assert!(stderr.contains("overflow"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
 }
 

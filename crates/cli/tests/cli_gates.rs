@@ -6,10 +6,10 @@
 //!   sum back to the command's measured wall time (the `profile:
 //!   wall_ns N` stderr line) within 5% — the partition invariant of the
 //!   span-derived profiler, checked on a real `explore fir` run.
-//! - `--alloc-profile` writes a memprofile whose self-byte rows sum
-//!   back to the command's allocator delta (the `alloc: total_bytes N`
-//!   stderr line) within 5% — the same partition invariant, on the
-//!   bytes column.
+//! - `--metrics` writes span rows whose `self_ns` and `self_bytes`
+//!   columns sum back to the command's wall time and allocator delta
+//!   (the `profile: wall_ns N` and `alloc: total_bytes N` stderr lines)
+//!   within 5%, on a SUSAN run whose sweeps fan out to worker threads.
 //! - One explore fans out one pair sweep per signal, however many access
 //!   groups it has: SUSAN's seven mask-row groups cost as many
 //!   `par_sweeps` as motion estimation's single group.
@@ -56,6 +56,17 @@ fn stderr_of(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
+/// The number after `prefix` on a stderr line, e.g. `profile: wall_ns `.
+fn stderr_total(stderr: &str, prefix: &str) -> f64 {
+    stderr
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix))
+        .unwrap_or_else(|| panic!("stderr reports `{prefix}N`:\n{stderr}"))
+        .trim()
+        .parse()
+        .expect("numeric total")
+}
+
 #[test]
 fn profile_out_self_times_sum_to_the_measured_wall_time() {
     let scratch = Scratch::new("profile");
@@ -63,13 +74,7 @@ fn profile_out_self_times_sum_to_the_measured_wall_time() {
     let output = run(bin().args(["explore", "fir", "--profile-out"]).arg(&profile));
     let stderr = stderr_of(&output);
     assert!(output.status.success(), "explore failed:\n{stderr}");
-    let wall_ns: f64 = stderr
-        .lines()
-        .find_map(|l| l.strip_prefix("profile: wall_ns "))
-        .expect("stderr reports `profile: wall_ns N`")
-        .trim()
-        .parse()
-        .expect("numeric wall time");
+    let wall_ns = stderr_total(&stderr, "profile: wall_ns ");
     let text = std::fs::read_to_string(&profile).expect("profile file written");
     assert!(
         text.lines().any(|l| l.starts_with("run")),
@@ -93,51 +98,39 @@ fn profile_out_self_times_sum_to_the_measured_wall_time() {
 }
 
 #[test]
-fn alloc_profile_self_bytes_sum_to_the_allocator_delta() {
-    let scratch = Scratch::new("alloc-profile");
-    let profile = scratch.path("fir.memprofile.json");
-    // Span byte attribution is per-thread (a worker's allocations are
-    // charged to the span the *worker* opens, not the one the spawning
-    // thread holds), while the `alloc: total_bytes` stderr line is the
-    // process-wide delta. Pinning them against each other therefore
-    // needs a single-threaded run.
-    let output = run(bin()
-        .args(["explore", "fir", "--alloc-profile"])
-        .arg(&profile)
-        .env("DATAREUSE_THREADS", "1"));
+fn metrics_span_rows_partition_the_measured_time_and_bytes() {
+    // At the default thread count SUSAN's pair sweep and Pareto fan out
+    // to scoped workers; their bytes must still land in the spans.
+    let scratch = Scratch::new("metrics-partition");
+    let metrics = scratch.path("susan.json");
+    let output = run(bin().args(["explore", "susan", "--metrics"]).arg(&metrics));
     let stderr = stderr_of(&output);
     assert!(output.status.success(), "explore failed:\n{stderr}");
-    let total_bytes: f64 = stderr
-        .lines()
-        .find_map(|l| l.strip_prefix("alloc: total_bytes "))
-        .expect("stderr reports `alloc: total_bytes N`")
-        .trim()
-        .parse()
-        .expect("numeric byte total");
+    let wall_ns = stderr_total(&stderr, "profile: wall_ns ");
+    let total_bytes = stderr_total(&stderr, "alloc: total_bytes ");
     assert!(total_bytes > 0.0, "explore allocates:\n{stderr}");
-    let text = std::fs::read_to_string(&profile).expect("alloc profile written");
-    assert!(
-        text.starts_with(r#"{"schema":"datareuse-memprofile-v1""#),
-        "profile: {text}"
-    );
-    // Sum the self_bytes column by hand — the file is one canonical
-    // JSON line, so a field scan is unambiguous.
-    let mut self_sum = 0.0f64;
-    let mut rows = 0usize;
-    for piece in text.split(r#""self_bytes":"#).skip(1) {
-        let digits: String = piece.chars().take_while(char::is_ascii_digit).collect();
-        self_sum += digits.parse::<f64>().expect("numeric self_bytes");
-        rows += 1;
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let doc = Json::parse(&text).expect("metrics JSON parses");
+    let rows = doc.get("spans").and_then(Json::as_array).expect("spans rows");
+    let paths: Vec<&str> = rows
+        .iter()
+        .filter_map(|r| r.get("path").and_then(Json::as_str))
+        .collect();
+    assert!(paths.contains(&"run"), "no root `run` row: {paths:?}");
+    assert!(paths.contains(&"run/explore/pairs"), "{paths:?}");
+    for (self_key, measured) in [("self_ns", wall_ns), ("self_bytes", total_bytes)] {
+        let self_sum: f64 = rows
+            .iter()
+            .map(|r| r.get(self_key).and_then(Json::as_u64).expect("self column") as f64)
+            .sum();
+        // Self weights partition the root span's totals, and the root
+        // span brackets (nearly) the region the stderr line measures.
+        let ratio = self_sum / measured;
+        assert!(
+            (0.95..=1.05).contains(&ratio),
+            "{self_key} sum {self_sum} vs measured {measured} (ratio {ratio:.4}):\n{text}"
+        );
     }
-    assert!(rows >= 2, "expected nested rows in:\n{text}");
-    assert!(text.contains(r#""path":"run""#), "root row present:\n{text}");
-    // Self bytes partition the root span's total, and the root span
-    // brackets (nearly) the same region the allocator delta measures.
-    let ratio = self_sum / total_bytes;
-    assert!(
-        (0.95..=1.05).contains(&ratio),
-        "self-bytes sum {self_sum} vs allocator delta {total_bytes} (ratio {ratio:.4}):\n{text}"
-    );
 }
 
 #[test]

@@ -790,9 +790,15 @@ fn two_hundred_held_connections_are_each_served_and_counted() {
 #[test]
 fn overflowing_extents_are_refused_and_serving_continues() {
     let server = ServerProc::spawn(&["--threads", "1"]);
-    for name in ["overflow_near_i64_max.dr", "overflow_tera_extent.dr"] {
-        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-        let request = format!(r#"{{"op":"explore","kernel":"{path}"}}"#);
+    let fixtures = [
+        "overflow_near_i64_max.dr",
+        "overflow_tera_extent.dr",
+        "overflow_index_coefficient.dr",
+    ]
+    .map(|name| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR")));
+    let einsum = "C[i,j] += A[i*4294967296,j] where i=4294967296, j=3".to_string();
+    for name in fixtures.iter().chain([&einsum]) {
+        let request = format!(r#"{{"op":"explore","kernel":"{name}"}}"#);
         let started = Instant::now();
         let refused = exchange(&server.addr, &[&request]).remove(0);
         let elapsed = started.elapsed();

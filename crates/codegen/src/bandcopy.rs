@@ -14,7 +14,7 @@
 //! non-negative coefficients, and at most one dimension shifting per
 //! carrier step.
 
-use datareuse_core::{footprint_levels, PairGeometry};
+use datareuse_core::{footprint_levels, AnalyzeError, PairGeometry};
 use datareuse_loopir::{AffineExpr, Program};
 
 use crate::ctext::{c_type, CWriter};
@@ -112,12 +112,14 @@ pub(crate) fn band_geometry(
     let mut shifting = 0usize;
     for expr in acc.indices() {
         let (inner_part, base) = expr.split(&inner_names);
-        let (lo, hi) = inner_part.value_range(|n| {
-            loops[depth..]
-                .iter()
-                .find(|l| l.name() == n)
-                .map(|l| (l.lower(), l.upper()))
-        });
+        let (lo, hi) = inner_part
+            .value_range(|n| {
+                loops[depth..]
+                    .iter()
+                    .find(|l| l.name() == n)
+                    .map(|l| (l.lower(), l.upper()))
+            })
+            .ok_or(ScheduleError::Analyze(AnalyzeError::Overflow))?;
         let width = hi - lo + 1;
         // The window must be *dense*: every value in [lo, hi] reachable,
         // so the band is a contiguous sliding interval (checked by

@@ -478,12 +478,14 @@ pub fn footprint_levels_merged(
                     let mut lo = i64::MAX;
                     let mut hi = i64::MIN;
                     for acc in &reps {
-                        let (l, h) = acc.indices()[dim].value_range(|n| {
-                            inner
-                                .iter()
-                                .find(|lp| lp.name() == n)
-                                .map(|lp| (lp.lower(), lp.upper()))
-                        });
+                        let (l, h) = acc.indices()[dim]
+                            .value_range(|n| {
+                                inner
+                                    .iter()
+                                    .find(|lp| lp.name() == n)
+                                    .map(|lp| (lp.lower(), lp.upper()))
+                            })
+                            .ok_or(AnalyzeError::Overflow)?;
                         lo = lo.min(l);
                         hi = hi.max(h);
                     }

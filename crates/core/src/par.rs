@@ -8,11 +8,12 @@
 //! so the output is bit-identical to the sequential path regardless of
 //! scheduling.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use datareuse_obs::{
-    add, gauge_max, metrics_enabled, record_hist, record_worker_items, Counter, Gauge, Hist,
-    TraceCtx,
+    add, credit_thread_alloc_bytes, gauge_max, metrics_enabled, record_hist, record_worker_items,
+    thread_alloc_bytes, Counter, Gauge, Hist, TraceCtx,
 };
 
 /// Resolves the worker-thread count for a sweep.
@@ -140,10 +141,14 @@ where
     let ctx = TraceCtx::current();
     let queue = Mutex::new(items.into_iter().enumerate());
     let done: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
+    // Bytes the workers allocate, credited to this thread after the join
+    // so the span open here is charged for the work it farmed out.
+    let worker_bytes = AtomicU64::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
             s.spawn(|| {
                 let _attach = ctx.map(TraceCtx::attach);
+                let bytes_at_start = observed.then(thread_alloc_bytes);
                 let mut processed = 0u64;
                 loop {
                     let next = queue.lock().expect("work queue poisoned").next();
@@ -156,12 +161,17 @@ where
                     done.lock().expect("result sink poisoned").push((index, result));
                     processed += 1;
                 }
-                if observed {
+                if let Some(start) = bytes_at_start {
                     record_worker_items(processed);
+                    let bytes = thread_alloc_bytes().saturating_sub(start);
+                    worker_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }
             });
         }
     });
+    if observed {
+        credit_thread_alloc_bytes(worker_bytes.into_inner());
+    }
     let mut tagged = done.into_inner().expect("result sink poisoned");
     tagged.sort_unstable_by_key(|(index, _)| *index);
     tagged.into_iter().map(|(_, result)| result).collect()

@@ -103,12 +103,22 @@ fn merge_tensor(
 ) -> Result<(), ParseNestError> {
     let mut extents = Vec::with_capacity(t.indices.len());
     for expr in &t.indices {
-        let (lo, hi) = expr.value_range(|n| {
+        let range = expr.value_range(|n| {
             stmt.iterators
                 .iter()
                 .any(|i| i == n)
                 .then(|| (0, extent_of(stmt, n) - 1))
         });
+        let overflow = || {
+            err(
+                t.pos,
+                format!(
+                    "index `{expr}` of `{}`: range overflows 64-bit integers",
+                    t.name
+                ),
+            )
+        };
+        let (lo, hi) = range.ok_or_else(overflow)?;
         if lo < 0 {
             return Err(err(
                 t.pos,
@@ -119,7 +129,7 @@ fn merge_tensor(
                 ),
             ));
         }
-        extents.push(hi + 1);
+        extents.push(hi.checked_add(1).ok_or_else(overflow)?);
     }
     match arrays.get_mut(&t.name) {
         None => {

@@ -106,6 +106,15 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The character at the cursor, decoded whole (the cursor always
+    /// sits on a character boundary), for error messages.
+    fn current_char(&self) -> char {
+        std::str::from_utf8(&self.src[self.at..])
+            .ok()
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
     fn next_token(&mut self) -> Result<(Tok, Pos), ParseNestError> {
         self.skip_trivia();
         let pos = Pos {
@@ -197,11 +206,14 @@ impl<'a> Lexer<'a> {
                 }
                 Tok::Ident(name)
             }
-            other => {
+            _ => {
                 return Err(ParseNestError {
                     line: pos.line,
                     column: pos.column,
-                    message: format!("unexpected character `{}`", other as char),
+                    message: format!(
+                        "unexpected character `{}`",
+                        self.current_char()
+                    ),
                 });
             }
         };

@@ -62,6 +62,13 @@ pub enum BuildNestError {
         /// The declared extent of that dimension.
         extent: i64,
     },
+    /// An index expression's reachable range leaves `i64`.
+    IndexOverflow {
+        /// The array name.
+        array: String,
+        /// Zero-based dimension index.
+        dim: usize,
+    },
 }
 
 impl fmt::Display for BuildNestError {
@@ -102,6 +109,10 @@ impl fmt::Display for BuildNestError {
                 f,
                 "access to `{array}` dimension {dim} can reach [{}, {}] outside [0, {})",
                 range.0, range.1, extent
+            ),
+            Self::IndexOverflow { array, dim } => write!(
+                f,
+                "access to `{array}` dimension {dim}: index range overflows 64-bit integers"
             ),
         }
     }

@@ -193,12 +193,13 @@ impl AffineExpr {
     }
 
     /// The value range `[min, max]` of this expression when each iterator
-    /// ranges over the inclusive interval given by `bounds(name)`.
+    /// ranges over the inclusive interval given by `bounds(name)`, or
+    /// `None` when an end of the range leaves `i64`.
     ///
     /// Iterators not covered by `bounds` are treated as fixed at 0 (i.e.
     /// excluded from the range computation); callers fold outer iterators
     /// into a base offset first via [`AffineExpr::split`].
-    pub fn value_range<F>(&self, bounds: F) -> (i64, i64)
+    pub fn value_range<F>(&self, bounds: F) -> Option<(i64, i64)>
     where
         F: Fn(&str) -> Option<(i64, i64)>,
     {
@@ -207,16 +208,12 @@ impl AffineExpr {
         for (n, c) in &self.terms {
             if let Some((bl, bu)) = bounds(n) {
                 debug_assert!(bl <= bu, "empty iterator interval for {n}");
-                if *c >= 0 {
-                    lo += c * bl;
-                    hi += c * bu;
-                } else {
-                    lo += c * bu;
-                    hi += c * bl;
-                }
+                let (at_lo, at_hi) = if *c >= 0 { (bl, bu) } else { (bu, bl) };
+                lo = lo.checked_add(c.checked_mul(at_lo)?)?;
+                hi = hi.checked_add(c.checked_mul(at_hi)?)?;
             }
         }
-        (lo, hi)
+        Some((lo, hi))
     }
 }
 
@@ -346,12 +343,27 @@ mod tests {
     #[test]
     fn value_range_handles_negative_coefficients() {
         let e = AffineExpr::term("i", -2) + AffineExpr::var("j");
-        let (lo, hi) = e.value_range(|n| match n {
-            "i" => Some((0, 3)),
-            "j" => Some((1, 4)),
-            _ => None,
-        });
+        let (lo, hi) = e
+            .value_range(|n| match n {
+                "i" => Some((0, 3)),
+                "j" => Some((1, 4)),
+                _ => None,
+            })
+            .unwrap();
         assert_eq!((lo, hi), (-5, 4));
+    }
+
+    #[test]
+    fn value_range_refuses_to_wrap() {
+        let e = AffineExpr::term("i", 1 << 32);
+        assert_eq!(e.value_range(|_| Some((0, 1 << 30))), Some((0, 1 << 62)));
+        assert_eq!(e.value_range(|_| Some((0, 1 << 32))), None);
+        let offset = AffineExpr::var("i") + i64::MAX;
+        assert_eq!(offset.value_range(|_| Some((0, 1))), None);
+        assert_eq!(
+            offset.value_range(|_| Some((-1, 0))),
+            Some((i64::MAX - 1, i64::MAX))
+        );
     }
 
     #[test]

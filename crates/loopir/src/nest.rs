@@ -657,12 +657,17 @@ impl Program {
                 });
             }
             for (dim, (expr, &extent)) in a.indices().iter().zip(decl.extents()).enumerate() {
-                let range = expr.value_range(|n| {
-                    nest.loops()
-                        .iter()
-                        .find(|l| l.name() == n)
-                        .map(|l| (l.lower(), l.upper()))
-                });
+                let range = expr
+                    .value_range(|n| {
+                        nest.loops()
+                            .iter()
+                            .find(|l| l.name() == n)
+                            .map(|l| (l.lower(), l.upper()))
+                    })
+                    .ok_or_else(|| BuildNestError::IndexOverflow {
+                        array: a.array().to_string(),
+                        dim,
+                    })?;
                 if range.0 < 0 || range.1 >= extent {
                     return Err(BuildNestError::OutOfBounds {
                         array: a.array().to_string(),

@@ -149,6 +149,15 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The character at the cursor, decoded whole (the cursor always
+    /// sits on a character boundary), for error messages.
+    fn current_char(&self) -> char {
+        std::str::from_utf8(&self.src[self.at..])
+            .ok()
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
     fn next_token(&mut self) -> Result<(Tok, Pos), ParseNestError> {
         self.skip_trivia();
         let pos = Pos {
@@ -277,8 +286,9 @@ impl<'a> Lexer<'a> {
                 }
                 Tok::Ident(String::from_utf8_lossy(&self.src[start..self.at]).into_owned())
             }
-            other => {
-                return Err(err(pos, format!("unexpected character `{}`", other as char)));
+            _ => {
+                let ch = self.current_char();
+                return Err(err(pos, format!("unexpected character `{ch}`")));
             }
         };
         Ok((tok, pos))

@@ -129,8 +129,9 @@ fn value_range_is_tight() {
                 (b1.0, b1.0 + b1.1),
                 (b2.0, b2.0 + b2.1),
             ];
-            let (lo, hi) =
-                e.value_range(|n| ITERS.iter().position(|&it| it == n).map(|i| bounds[i]));
+            let (lo, hi) = e
+                .value_range(|n| ITERS.iter().position(|&it| it == n).map(|i| bounds[i]))
+                .expect("small coefficients cannot overflow");
             let mut seen_lo = false;
             let mut seen_hi = false;
             for i in bounds[0].0..=bounds[0].1 {
@@ -161,8 +162,9 @@ fn display_parses_back() {
             let e = build(se);
             // Constrain to non-negative values over i,j,k in [0, 4] so the
             // access stays in bounds.
-            let (lo, hi) =
-                e.value_range(|n| ITERS.iter().position(|&it| it == n).map(|_| (0i64, 4)));
+            let (lo, hi) = e
+                .value_range(|n| ITERS.iter().position(|&it| it == n).map(|_| (0i64, 4)))
+                .expect("small coefficients cannot overflow");
             let offset = -lo;
             let extent = hi + offset + 1;
             let shifted = e.clone() + offset;

@@ -50,6 +50,19 @@ pub fn thread_alloc_bytes() -> u64 {
     THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
+/// Adds `bytes` to this thread's [`thread_alloc_bytes`] counter without
+/// touching the process-wide tallies.
+///
+/// A fan-out calls this after joining its scoped workers, with the sum
+/// of their [`thread_alloc_bytes`] deltas, so the span the caller holds
+/// open is charged for the work it farmed out. The workers' allocations
+/// were already counted once in [`alloc_snapshot`]; this only moves
+/// their attribution to the spawning thread.
+pub fn credit_thread_alloc_bytes(bytes: u64) {
+    // Ignoring the teardown case is fine: no span can be open then.
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get().wrapping_add(bytes)));
+}
+
 /// Bumps the thread counter and derives this thread's shard index from
 /// the thread-local's address (stable per thread, free to compute).
 /// During thread teardown the TLS slot may be gone; fall back to shard 0

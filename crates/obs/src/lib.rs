@@ -21,8 +21,9 @@
 //!   with sharded atomic tallies (alloc/dealloc/realloc counts, bytes
 //!   allocated/freed, live bytes, high-water peak) and a per-thread
 //!   cumulative counter the span layer samples for per-phase
-//!   attribution; surfaced as the `alloc_*` gauges and the
-//!   `datareuse-memprofile-v1` export.
+//!   attribution (a fan-out credits its workers' bytes back to the
+//!   spawning thread with [`credit_thread_alloc_bytes`]); surfaced as
+//!   the `alloc_*` gauges and the spans' byte columns.
 //! - **Worker load** ([`record_worker_items`]) — items processed per
 //!   `parallel_map` worker, for spotting a load-imbalanced sweep.
 //! - **Latency histograms** ([`Hist`], [`record_hist`], [`Histogram`]) —
@@ -38,16 +39,15 @@
 //!   lock-free ring buffer of the last [`FLIGHT_CAPACITY`] structured
 //!   serving events, dumped on demand and attached to timeout/overload
 //!   error responses.
-//! - **Self-time profiler** ([`profile_rows`], [`collapsed_stacks`],
-//!   [`profile_json`]) — derives per-phase cumulative/self-time
-//!   attribution from the span registry and exports it as structured
-//!   rows (`datareuse-profile-v1`) or flamegraph.pl-compatible
-//!   collapsed-stack text; [`memprofile_json`] exports the same tree
-//!   weighted by self-allocated bytes (`datareuse-memprofile-v1`).
+//! - **Self-time profiler** ([`ProfileRow`], [`collapsed_stacks`]) —
+//!   derives per-path self time and self bytes from the span registry.
+//!   The registry has two exports: the snapshot's `spans` rows (`ns`,
+//!   `bytes`, `self_ns`, `self_bytes`) and flamegraph.pl-compatible
+//!   collapsed-stack text.
 //! - **Snapshots** ([`snapshot`], [`MetricsSnapshot`]) — serialize the
 //!   registry to the workspace's hand-rolled [`Json`] as a
 //!   `METRICS_*.json` artifact (schema `datareuse-metrics-v2`, embedding
-//!   the histograms), or to Prometheus text format
+//!   the histograms and the span profile), or to Prometheus text format
 //!   ([`prometheus_text`]).
 //! - **Progress** ([`Progress`]) — a periodic stderr narrator for
 //!   long-running CLI commands.
@@ -97,7 +97,10 @@ mod prom;
 mod span;
 mod tracing;
 
-pub use alloc::{alloc_snapshot, thread_alloc_bytes, AllocSnapshot, TrackingAllocator};
+pub use alloc::{
+    alloc_snapshot, credit_thread_alloc_bytes, thread_alloc_bytes, AllocSnapshot,
+    TrackingAllocator,
+};
 pub use explain::Explain;
 
 pub use flight::{
@@ -111,7 +114,7 @@ pub use metrics::{
     record_worker_items, reset_metrics, set_metrics_enabled, snapshot, Counter, Gauge,
     LocalCounter, MetricsSnapshot,
 };
-pub use profile::{collapsed_stacks, memprofile_json, profile_json, profile_rows, ProfileRow};
+pub use profile::{collapsed_stacks, ProfileRow};
 pub use progress::Progress;
 pub use prom::prometheus_text;
 pub use span::{span, span_with, AttachGuard, SpanGuard};

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use crate::hist::{hist_snapshot, Hist, HistSnapshot};
 use crate::json::Json;
-use crate::span::span_rows;
+use crate::profile::{profile_rows, ProfileRow};
 
 /// Every counter the pipeline records. The `name` strings are the keys in
 /// the `counters` object of [`snapshot`] output.
@@ -311,7 +311,7 @@ pub fn record_worker_items(items: u64) {
 /// accumulators (the live-byte level survives, since that memory is
 /// still resident, and the peak resets to the current live level) — and
 /// turns recording (metrics *and* tracing) off. Clearing the spans also empties the derived
-/// profile ([`crate::profile_rows`] is a pure function of the span
+/// profile (the snapshot's span rows are a pure function of the span
 /// registry). Intended for tests and for reusing a process across
 /// independent runs.
 pub fn reset_metrics() {
@@ -341,9 +341,9 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, value)` for every gauge, in [`Gauge::ALL`] order.
     pub gauges: Vec<(&'static str, u64)>,
-    /// `(path, calls, total_ns, total_bytes)` per span path, sorted by
-    /// path.
-    pub spans: Vec<(String, u64, u64, u64)>,
+    /// Cumulative and self weights (nanoseconds and bytes) per span
+    /// path, sorted by path.
+    pub spans: Vec<ProfileRow>,
     /// Items processed per parallel worker, in completion order.
     pub worker_items: Vec<u64>,
     /// `(name, snapshot)` for every latency histogram, in
@@ -375,6 +375,10 @@ impl MetricsSnapshot {
     /// histogram carrying count/min/max/mean, p50/p90/p99/p999, and the
     /// non-empty `[upper_bound_ns, count]` bucket pairs.
     ///
+    /// Each `spans` row carries `path`, `calls`, the cumulative `ns` and
+    /// `bytes`, and the derived `self_ns` and `self_bytes`; the self
+    /// columns partition each root's totals exactly.
+    ///
     /// The `counters` section is deterministic for a given workload (it
     /// counts work, not time); `gauges`, `spans`, `load`, and `hists`
     /// report scheduling- and clock-dependent data and vary run to run.
@@ -395,12 +399,14 @@ impl MetricsSnapshot {
             ),
             (
                 "spans",
-                Json::arr(self.spans.iter().map(|(path, calls, ns, bytes)| {
+                Json::arr(self.spans.iter().map(|row| {
                     Json::obj([
-                        ("path", Json::str(path.clone())),
-                        ("calls", Json::UInt(*calls)),
-                        ("ns", Json::UInt(*ns)),
-                        ("bytes", Json::UInt(*bytes)),
+                        ("path", Json::str(row.path.clone())),
+                        ("calls", Json::UInt(row.calls)),
+                        ("ns", Json::UInt(row.total_ns)),
+                        ("bytes", Json::UInt(row.total_bytes)),
+                        ("self_ns", Json::UInt(row.self_ns)),
+                        ("self_bytes", Json::UInt(row.self_bytes)),
                     ])
                 })),
             ),
@@ -436,7 +442,7 @@ pub fn snapshot() -> MetricsSnapshot {
             .iter()
             .map(|&g| (g.name(), gauge_value(g)))
             .collect(),
-        spans: span_rows(),
+        spans: profile_rows(),
         worker_items: WORKER_ITEMS
             .lock()
             .expect("worker-load registry poisoned")
@@ -651,14 +657,14 @@ mod tests {
         {
             let _span = crate::span("reset_probe");
         }
-        assert!(!crate::profile_rows().is_empty());
+        assert!(!snapshot().spans.is_empty());
         reset_metrics();
         assert_eq!(snapshot().hist(Hist::ServeLatencyCold).unwrap().count, 0);
         assert!(crate::flight_tail(16).is_empty());
         assert_eq!(gauge_value(Gauge::ServeQueueDepth), 0);
         // The derived profiler view is wiped too: a reused process
         // starts from a clean slate.
-        assert!(crate::profile_rows().is_empty());
+        assert!(snapshot().spans.is_empty());
         assert!(crate::collapsed_stacks().is_empty());
     }
 

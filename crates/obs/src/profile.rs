@@ -6,13 +6,10 @@
 //! bytes allocated) in `explore/pairs` are also inside `explore`. This
 //! module derives the classic profiler view from them — per-path **self
 //! time** and **self bytes** (cumulative minus the amount attributed to
-//! direct children) — and exports it in three shapes:
+//! direct children) — and the registry has exactly two exports of it:
 //!
-//! - [`profile_rows`] / [`profile_json`]: structured rows (schema
-//!   `datareuse-profile-v1`, time columns only for byte-stability of the
-//!   `profile` serve op) for tests and tooling.
-//! - [`memprofile_json`]: the same tree with byte columns (schema
-//!   `datareuse-memprofile-v1`), written by `--alloc-profile`.
+//! - the `spans` rows of the metrics snapshot ([`crate::snapshot`]),
+//!   which carry `ns`, `bytes`, `self_ns` and `self_bytes` per path;
 //! - [`collapsed_stacks`]: the collapsed-stack text format consumed by
 //!   `flamegraph.pl` and compatible viewers — one line per path with
 //!   positive self time, `a;b;c SELF_NS`.
@@ -26,10 +23,31 @@
 //! registry, so [`crate::reset_metrics`] clearing the spans clears the
 //! profile too.
 
-use crate::json::Json;
-
 /// One aggregated profile row: a span path with cumulative and self
-/// weights for both wall time and allocated bytes.
+/// weights for both wall time and allocated bytes. The metrics snapshot
+/// carries one per span path ([`crate::MetricsSnapshot::spans`]).
+///
+/// # Examples
+///
+/// ```
+/// use datareuse_obs::{reset_metrics, set_metrics_enabled, snapshot, span};
+/// reset_metrics();
+/// set_metrics_enabled(true);
+/// {
+///     let _outer = span("outer");
+///     let _inner = span("inner");
+/// }
+/// set_metrics_enabled(false);
+/// let rows = snapshot().spans;
+/// assert_eq!(rows.len(), 2);
+/// let outer = &rows[0];
+/// let inner = &rows[1];
+/// assert_eq!(outer.path, "outer");
+/// assert_eq!(inner.path, "outer/inner");
+/// assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+/// assert_eq!(inner.self_ns, inner.total_ns);
+/// reset_metrics();
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileRow {
     /// `/`-joined span path, e.g. `explore/pairs`.
@@ -47,39 +65,18 @@ pub struct ProfileRow {
     pub self_bytes: u64,
 }
 
-/// Derives profile rows from the live span registry, sorted by path.
+/// Derives profile rows from the live span registry, sorted by path:
+/// the `spans` section of [`crate::snapshot`].
 ///
 /// Self time is `total_ns` minus the summed `total_ns` of *direct*
 /// children (paths one `/` segment deeper), and self bytes likewise.
 /// Clock jitter can make a child's recorded total marginally exceed its
 /// parent's; self values saturate at zero rather than going negative.
-///
-/// # Examples
-///
-/// ```
-/// use datareuse_obs::{profile_rows, reset_metrics, set_metrics_enabled, span};
-/// reset_metrics();
-/// set_metrics_enabled(true);
-/// {
-///     let _outer = span("outer");
-///     let _inner = span("inner");
-/// }
-/// set_metrics_enabled(false);
-/// let rows = profile_rows();
-/// assert_eq!(rows.len(), 2);
-/// let outer = &rows[0];
-/// let inner = &rows[1];
-/// assert_eq!(outer.path, "outer");
-/// assert_eq!(inner.path, "outer/inner");
-/// assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
-/// assert_eq!(inner.self_ns, inner.total_ns);
-/// reset_metrics();
-/// ```
-pub fn profile_rows() -> Vec<ProfileRow> {
+pub(crate) fn profile_rows() -> Vec<ProfileRow> {
     rows_from(&crate::span::span_rows())
 }
 
-/// Pure core of [`profile_rows`]: derives rows from `(path, calls,
+/// Pure core of the snapshot's span rows: derives rows from `(path, calls,
 /// total_ns, total_bytes)` tuples. Input order does not matter; output
 /// is sorted by path.
 fn rows_from(spans: &[(String, u64, u64, u64)]) -> Vec<ProfileRow> {
@@ -136,58 +133,6 @@ pub fn collapsed_stacks() -> String {
         out.push('\n');
     }
     out
-}
-
-/// Serializes the profile as a `datareuse-profile-v1` document:
-/// `{"schema":"datareuse-profile-v1","rows":[{path,calls,total_ns,self_ns},…]}`.
-///
-/// Rows are sorted by path and every field is an unsigned integer, so
-/// the document is canonical: re-parsing and re-serializing it is
-/// byte-identical, which the `profile` serve op's round-trip test pins.
-/// The byte columns deliberately stay out of this schema — they ship in
-/// [`memprofile_json`] — so v1 consumers see the exact bytes they did
-/// before allocation tracking existed.
-pub fn profile_json() -> Json {
-    let rows = profile_rows()
-        .into_iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("path", Json::str(&r.path)),
-                ("calls", Json::UInt(r.calls)),
-                ("total_ns", Json::UInt(r.total_ns)),
-                ("self_ns", Json::UInt(r.self_ns)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema", Json::str("datareuse-profile-v1")),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Serializes the allocation profile as a `datareuse-memprofile-v1`
-/// document:
-/// `{"schema":"datareuse-memprofile-v1","rows":[{path,calls,total_bytes,self_bytes},…]}`.
-///
-/// Same canonical shape as [`profile_json`] — rows sorted by path, all
-/// unsigned integers — with byte weights instead of nanoseconds. This is
-/// what `--alloc-profile FILE` writes.
-pub fn memprofile_json() -> Json {
-    let rows = profile_rows()
-        .into_iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("path", Json::str(&r.path)),
-                ("calls", Json::UInt(r.calls)),
-                ("total_bytes", Json::UInt(r.total_bytes)),
-                ("self_bytes", Json::UInt(r.self_bytes)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema", Json::str("datareuse-memprofile-v1")),
-        ("rows", Json::Arr(rows)),
-    ])
 }
 
 #[cfg(test)]
@@ -325,48 +270,5 @@ mod tests {
         assert!(text.lines().any(|l| l.starts_with("outer;inner ")));
         reset_metrics();
         assert!(collapsed_stacks().is_empty());
-    }
-
-    #[test]
-    fn profile_json_is_canonical_under_reparse() {
-        use crate::metrics::test_lock;
-        use crate::{reset_metrics, set_metrics_enabled, span};
-        let _guard = test_lock::hold();
-        reset_metrics();
-        set_metrics_enabled(true);
-        {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        set_metrics_enabled(false);
-        let text = profile_json().to_string();
-        let reparsed = Json::parse(&text).expect("profile json parses");
-        assert_eq!(text, reparsed.to_string());
-        assert!(text.starts_with("{\"schema\":\"datareuse-profile-v1\""));
-        // v1 stays time-only: byte columns live in memprofile-v1.
-        assert!(!text.contains("bytes"));
-        reset_metrics();
-    }
-
-    #[test]
-    fn memprofile_json_is_canonical_under_reparse() {
-        use crate::metrics::test_lock;
-        use crate::{reset_metrics, set_metrics_enabled, span};
-        let _guard = test_lock::hold();
-        reset_metrics();
-        set_metrics_enabled(true);
-        {
-            let _outer = span("outer");
-            let _buf = vec![0u8; 4096];
-            let _inner = span("inner");
-        }
-        set_metrics_enabled(false);
-        let text = memprofile_json().to_string();
-        let reparsed = Json::parse(&text).expect("memprofile json parses");
-        assert_eq!(text, reparsed.to_string());
-        assert!(text.starts_with("{\"schema\":\"datareuse-memprofile-v1\""));
-        assert!(text.contains("\"total_bytes\""));
-        assert!(text.contains("\"self_bytes\""));
-        reset_metrics();
     }
 }

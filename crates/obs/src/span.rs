@@ -6,9 +6,12 @@
 //! ([`crate::thread_alloc_bytes`]) to a `/`-joined path built from the
 //! spans open on the current thread (`explore/pairs`,
 //! `explore/chains/pareto`, …); [`crate::snapshot`] reports the call
-//! count and totals per path. Bytes are cumulative like time, so the
-//! profiler subtracts direct children to get self-allocation; other
-//! threads' allocations show up only in [`crate::alloc_snapshot`].
+//! count, totals and self weights per path. Bytes are cumulative like
+//! time, so the profiler subtracts direct children to get
+//! self-allocation. A span sees the allocations of its own thread plus
+//! whatever a fan-out credits back to it
+//! ([`crate::credit_thread_alloc_bytes`]); other threads' allocations
+//! show up only in [`crate::alloc_snapshot`].
 //!
 //! With tracing on ([`crate::set_tracing_enabled`]), the same guard
 //! mints a span id under [`TraceCtx::current`] (a fresh root trace if
@@ -113,9 +116,9 @@ struct Open {
 /// }
 /// set_metrics_enabled(false);
 /// let spans = snapshot().spans;
-/// let paths: Vec<&str> = spans.iter().map(|(p, ..)| p.as_str()).collect();
+/// let paths: Vec<&str> = spans.iter().map(|r| r.path.as_str()).collect();
 /// assert_eq!(paths, ["outer", "outer/inner"]);
-/// assert!(spans.iter().all(|&(_, calls, ..)| calls == 1));
+/// assert!(spans.iter().all(|r| r.calls == 1));
 /// ```
 pub fn span(name: &'static str) -> SpanGuard {
     span_with(name, "")
@@ -236,7 +239,7 @@ mod tests {
         let rows = snapshot().spans;
         let by_path: std::collections::HashMap<&str, u64> = rows
             .iter()
-            .map(|(path, calls, ..)| (path.as_str(), *calls))
+            .map(|r| (r.path.as_str(), r.calls))
             .collect();
         assert_eq!(by_path["explore"], 3);
         assert_eq!(by_path["explore/pairs"], 3);
@@ -261,8 +264,8 @@ mod tests {
         let rows = snapshot().spans;
         let bytes_of = |wanted: &str| {
             rows.iter()
-                .find(|(path, ..)| path == wanted)
-                .map(|&(_, _, _, bytes)| bytes)
+                .find(|r| r.path == wanted)
+                .map(|r| r.total_bytes)
                 .unwrap_or_else(|| panic!("no span row for {wanted}"))
         };
         let outer = bytes_of("outer");
@@ -297,7 +300,7 @@ mod tests {
             }
             set_metrics_enabled(false);
             set_tracing_enabled(false);
-            let paths: Vec<String> = snapshot().spans.into_iter().map(|(p, ..)| p).collect();
+            let paths: Vec<String> = snapshot().spans.into_iter().map(|r| r.path).collect();
             let expected: &[&str] = if metrics {
                 // Attached frames are nameless: the worker's span is a root.
                 &["execute", "execute/explore", "worker"]

@@ -236,7 +236,6 @@ pub fn execute(op: &Op) -> Result<Json, OpError> {
         | Op::Health
         | Op::Trace
         | Op::Prom
-        | Op::Profile
         | Op::Memstats
         | Op::Ping
         | Op::Shutdown

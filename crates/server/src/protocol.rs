@@ -9,7 +9,7 @@
 //!              "id"?: <any json>, "deadline_ms"?: uint }
 //! op       = "explore" | "pareto" | "report" | "codegen" | "batch"
 //!          | "stats" | "health" | "trace" | "prom" | "ping" | "shutdown"
-//!          | "profile" | "memstats"
+//!          | "memstats"
 //! response = { "ok": true,  "id"?: <echoed>, "cached": bool,
 //!              "coalesced"?: true, "result": <json> }
 //!          | { "ok": false, "id"?: <echoed>,
@@ -35,10 +35,11 @@
 //! `"flight": true` to include the full recorder tail; `health` evaluates the server's SLO thresholds into
 //! `ok`/`degraded`/`failing`; `trace` drains buffered spans as a Chrome
 //! trace-event document; `prom` returns the Prometheus text exposition
-//! as a JSON string; `profile` returns the span-derived self-time
-//! profile as a `datareuse-profile-v1` document; `memstats` returns the
-//! tracking allocator's tallies plus the serve-side attribution
-//! breakdown as a `datareuse-memstats-v1` document.
+//! as a JSON string; `memstats` returns the tracking allocator's tallies
+//! plus the serve-side attribution breakdown as a
+//! `datareuse-memstats-v1` document. The span profile (cumulative and
+//! self time and bytes per path) rides in the `stats` snapshot's `spans`
+//! rows.
 //!
 //! `id` is echoed back verbatim and `deadline_ms` bounds how long the
 //! client is willing to wait; neither participates in the cache key —
@@ -65,9 +66,9 @@ pub const MAX_BATCH: usize = 256;
 /// Every wire op name, in grammar order (the same order as
 /// [`op_ordinal`](crate::server) flight details). The doc-drift test
 /// checks each against `docs/SERVING.md`.
-pub const OP_NAMES: [&str; 13] = [
+pub const OP_NAMES: [&str; 12] = [
     "explore", "pareto", "report", "codegen", "stats", "trace", "prom", "ping", "shutdown",
-    "health", "batch", "profile", "memstats",
+    "health", "batch", "memstats",
 ];
 
 /// Parameters of an `explore` request (one signal, full sweep).
@@ -187,8 +188,6 @@ pub enum Op {
     Trace,
     /// Prometheus text-format scrape of the metrics registry.
     Prom,
-    /// Span-derived self-time profile (`datareuse-profile-v1`).
-    Profile,
     /// Tracking-allocator tallies plus serve-side allocation
     /// attribution (`datareuse-memstats-v1`).
     Memstats,
@@ -212,7 +211,6 @@ impl Op {
                 | Op::Health
                 | Op::Trace
                 | Op::Prom
-                | Op::Profile
                 | Op::Memstats
                 | Op::Ping
                 | Op::Shutdown
@@ -232,7 +230,6 @@ impl Op {
             Op::Health => "health",
             Op::Trace => "trace",
             Op::Prom => "prom",
-            Op::Profile => "profile",
             Op::Memstats => "memstats",
             Op::Ping => "ping",
             Op::Shutdown => "shutdown",
@@ -387,7 +384,6 @@ impl Request {
             "health" => Op::Health,
             "trace" => Op::Trace,
             "prom" => Op::Prom,
-            "profile" => Op::Profile,
             "memstats" => Op::Memstats,
             "ping" => Op::Ping,
             "shutdown" => Op::Shutdown,
@@ -587,7 +583,7 @@ mod tests {
     #[test]
     fn control_ops_are_not_cacheable() {
         for op in [
-            "stats", "health", "trace", "prom", "profile", "memstats", "ping", "shutdown",
+            "stats", "health", "trace", "prom", "memstats", "ping", "shutdown",
         ] {
             let r = Request::parse_line(&format!(r#"{{"op":"{op}"}}"#)).unwrap();
             assert!(r.cache_key.is_none(), "{op} must not be cached");

@@ -339,8 +339,7 @@ fn op_ordinal(op: &Op) -> u64 {
         Op::Shutdown => 9,
         Op::Health => 10,
         Op::Batch(_) => 11,
-        Op::Profile => 12,
-        Op::Memstats => 13,
+        Op::Memstats => 12,
     }
 }
 
@@ -1206,7 +1205,6 @@ impl EventLoop {
             Op::Health => health_result(&self.shared),
             Op::Trace => chrome_trace_json(&take_trace_events()).to_string(),
             Op::Prom => Json::str(prometheus_text(&datareuse_obs::snapshot())).to_string(),
-            Op::Profile => datareuse_obs::profile_json().to_string(),
             Op::Memstats => memstats_result(&self.shared),
             Op::Shutdown => {
                 self.shared.stop();
@@ -1471,7 +1469,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_op_round_trips_byte_identical_span_trees() {
+    fn stats_span_rows_partition_and_round_trip_byte_identically() {
         let (addr, handle) = start(ServerConfig {
             threads: 2,
             ..ServerConfig::default()
@@ -1480,36 +1478,43 @@ mod tests {
             addr,
             &[
                 r#"{"op":"explore","kernel":"fir","id":1}"#,
-                r#"{"op":"profile","id":2}"#,
-                r#"{"op":"shutdown","id":3}"#,
+                r#"{"op":"stats","id":2}"#,
+                r#"{"op":"profile","id":3}"#,
+                r#"{"op":"shutdown","id":4}"#,
             ],
         );
         assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
-        let result = responses[1].get("result").expect("profile result");
-        assert_eq!(
-            result.get("schema").and_then(Json::as_str),
-            Some("datareuse-profile-v1")
-        );
-        let rows = result.get("rows").and_then(Json::as_array).expect("rows");
+        let result = responses[1].get("result").expect("stats result");
+        let rows = result.get("spans").and_then(Json::as_array).expect("spans");
         assert!(!rows.is_empty(), "explore must have populated the span tree");
-        let mut self_sum = 0u64;
-        let mut root_sum = 0u64;
-        for row in rows {
-            let path = row.get("path").and_then(Json::as_str).unwrap();
-            let total = row.get("total_ns").and_then(Json::as_u64).unwrap();
-            let own = row.get("self_ns").and_then(Json::as_u64).unwrap();
-            assert!(own <= total, "{path}: self {own} exceeds total {total}");
-            self_sum += own;
-            if !path.contains('/') {
-                root_sum += total;
+        for (total_key, self_key) in [("ns", "self_ns"), ("bytes", "self_bytes")] {
+            let mut self_sum = 0u64;
+            let mut root_sum = 0u64;
+            for row in rows {
+                let path = row.get("path").and_then(Json::as_str).unwrap();
+                let total = row.get(total_key).and_then(Json::as_u64).unwrap();
+                let own = row.get(self_key).and_then(Json::as_u64).unwrap();
+                assert!(own <= total, "{path}: {self_key} {own} exceeds {total_key} {total}");
+                self_sum += own;
+                if !path.contains('/') {
+                    root_sum += total;
+                }
             }
+            // Self weights partition the cumulative root totals exactly.
+            assert_eq!(self_sum, root_sum, "{self_key} vs root {total_key}");
         }
-        // Self times partition the cumulative root totals exactly.
-        assert_eq!(self_sum, root_sum);
-        // The document is canonical: reparse → reserialize is
-        // byte-identical, so span trees survive the wire losslessly.
-        let text = result.to_string();
+        // The rows are canonical: reparse → reserialize is byte-identical,
+        // so span trees survive the wire losslessly.
+        let text = Json::Arr(rows.to_vec()).to_string();
         assert_eq!(text, Json::parse(&text).unwrap().to_string());
+        // The retired `profile` op is refused like any unknown op.
+        assert_eq!(
+            responses[2]
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some(E_BAD_REQUEST)
+        );
         handle.join().unwrap();
     }
 

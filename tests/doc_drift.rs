@@ -1,4 +1,5 @@
-//! Drift guards between the serving code and `docs/SERVING.md`.
+//! Drift guards between the code and the docs (`docs/SERVING.md`,
+//! `docs/OBSERVABILITY.md`, README.md and EXPERIMENTS.md).
 //!
 //! The operator runbook documents the wire protocol, the metrics
 //! surface, and the `query` exit codes. Each of those lives in code as
@@ -165,17 +166,28 @@ fn the_usage_text_and_docs_cover_the_expression_workflow() {
 #[test]
 fn every_serving_flag_the_docs_show_is_in_the_usage_text() {
     // The reverse of the checks above: a flag the docs show on a
-    // `serve`/`top`/`query` command line (or continuation line), or in
-    // the runbook's flag table, must still exist, so a retired flag
-    // cannot linger in the docs.
+    // `serve`/`top`/`query`/`explore`/`report` command line (or
+    // continuation line), or in a flag table, must still exist, so a
+    // retired flag cannot linger in the docs.
     let usage = usage_text();
+    let commands = [
+        "datareuse serve",
+        "datareuse top",
+        "datareuse query",
+        "datareuse explore",
+        "datareuse report",
+    ];
     let mut checked = 0;
-    for file in ["docs/SERVING.md", "README.md"] {
+    for file in [
+        "docs/SERVING.md",
+        "docs/OBSERVABILITY.md",
+        "docs/ARCHITECTURE.md",
+        "README.md",
+        "EXPERIMENTS.md",
+    ] {
         let mut continued = false;
         for line in repo_file(file).lines() {
-            let command = ["datareuse serve", "datareuse top", "datareuse query"]
-                .iter()
-                .any(|c| line.contains(c));
+            let command = commands.iter().any(|c| line.contains(c));
             if command || continued || line.starts_with("| `--") {
                 for flag in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
                     if flag.len() > 2 && flag.starts_with("--") {
@@ -190,7 +202,7 @@ fn every_serving_flag_the_docs_show_is_in_the_usage_text() {
             continued = (command || continued) && line.trim_end().ends_with('\\');
         }
     }
-    assert!(checked >= 20, "only {checked} documented flags found");
+    assert!(checked >= 40, "only {checked} documented flags found");
 }
 
 #[test]
@@ -230,7 +242,7 @@ fn every_metric_in_code_is_documented_in_the_observability_guide() {
 #[test]
 fn the_usage_text_and_observability_guide_cover_the_profiler() {
     let usage = usage_text();
-    for needle in ["--profile-out", "--alloc-profile"] {
+    for needle in ["--profile-out", "--metrics"] {
         assert!(
             usage.contains(needle),
             "usage text does not mention `{needle}`"
@@ -239,9 +251,8 @@ fn the_usage_text_and_observability_guide_cover_the_profiler() {
     let doc = repo_file("docs/OBSERVABILITY.md");
     for needle in [
         "--profile-out",
-        "datareuse-profile-v1",
-        "--alloc-profile",
-        "datareuse-memprofile-v1",
+        "self_ns",
+        "self_bytes",
         "memstats",
         "datareuse-memstats-v1",
         "datareuse-metrics-v2",
