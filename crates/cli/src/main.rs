@@ -73,6 +73,24 @@
 //! a `health` response maps its status to 5 (`degraded`) or 6
 //! (`failing`) so probes can alert without parsing JSON.
 
+/// `print!` through [`write_stdout`]: returns early from the enclosing
+/// `Result<_, CliError>` function when stdout fails.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))?
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 mod top;
 
 use std::io::Write as _;
@@ -127,11 +145,14 @@ query exit codes: 0 ok, 1 transport/server error, 3 timeout, 4 overloaded,
 /// failure of valid work (exit 1), and `Server` is a structured failure
 /// carrying its own exit code (3 timeout, 4 overloaded, 5/6 health
 /// degraded/failing) so scripts can distinguish retry-later refusals
-/// and health verdicts from hard failures.
+/// and health verdicts from hard failures. `ClosedStdout` is no failure:
+/// the reader closed the pipe (`datareuse kernels | head`), so the
+/// command stops and exits 0.
 enum CliError {
     Usage(String),
     Runtime(String),
     Server { exit: u8, msg: String },
+    ClosedStdout,
 }
 
 impl From<String> for CliError {
@@ -148,6 +169,24 @@ impl From<&str> for CliError {
 
 fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
+}
+
+fn stdout_error(e: std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError::ClosedStdout
+    } else {
+        CliError::Runtime(format!("cannot write to stdout: {e}"))
+    }
+}
+
+/// The one path every command's stdout takes (via [`out!`] and
+/// [`outln!`]). Unlike `print!`, a write error is returned, not a panic.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), CliError> {
+    std::io::stdout().write_fmt(args).map_err(stdout_error)
+}
+
+fn flush_stdout() -> Result<(), CliError> {
+    std::io::stdout().flush().map_err(stdout_error)
 }
 
 struct Args {
@@ -289,7 +328,7 @@ fn cmd_kernels(args: &Args) -> Result<(), CliError> {
                 doc
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             Json::obj([
                 ("builtins", Json::Arr(builtins)),
@@ -299,27 +338,27 @@ fn cmd_kernels(args: &Args) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    println!("built-in kernels:");
+    outln!("built-in kernels:");
     for (name, desc) in BUILTINS {
         let p = load_kernel(name).expect("builtins load");
         let (nests, iters, arrays, elems) = kernel_summary(&p);
-        println!("  {name:<22} {desc}");
-        println!(
+        outln!("  {name:<22} {desc}");
+        outln!(
             "  {:<22} {nests} nest(s), {iters} iterations, \
              {arrays} array(s), {elems} elements",
             ""
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "generated corpus ({} entries, seed {DEFAULT_CORPUS_SEED:#x}):",
         corpus().len()
     );
     for e in corpus() {
         let p = load_kernel(&e.name).expect("corpus entries load");
         let (nests, iters, arrays, elems) = kernel_summary(&p);
-        println!("  {:<22} {}", e.name, e.description);
-        println!(
+        outln!("  {:<22} {}", e.name, e.description);
+        outln!(
             "  {:<22} {nests} nest(s), {iters} iterations, \
              {arrays} array(s), {elems} elements",
             ""
@@ -331,9 +370,9 @@ fn cmd_kernels(args: &Args) -> Result<(), CliError> {
 fn cmd_emit(args: &Args) -> Result<(), CliError> {
     let program = cli_kernel(args)?;
     if args.has("rust") {
-        print!("{}", emit_rust_program(&program));
+        out!("{}", emit_rust_program(&program));
     } else {
-        print!("{}", emit_program(&program));
+        out!("{}", emit_program(&program));
     }
     Ok(())
 }
@@ -526,31 +565,30 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
         report = report.with_why(s);
     }
     if args.has("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
         if let Some((path, s)) = &explain {
             write_explain(path, s)?;
         }
         obs.finish()?;
         return Ok(());
     }
-    print!("{report}");
-    let front = ex.pareto(&opts, &tech, &BitCount);
+    out!("{report}");
     // The working-set and simulation views replay the same read trace;
     // generate it once instead of once per view.
     let trace = (args.has("workingset") || args.has("simulate"))
         .then(|| read_addresses(&program, &array));
     if args.has("workingset") {
         let trace = trace.as_deref().expect("trace generated above");
-        println!("\nworking-set profile (window, avg, peak):");
+        outln!("\nworking-set profile (window, avg, peak):");
         for w in [64u64, 256, 1024, 4096] {
             let ws = datareuse_trace::working_set_profile(trace, w);
-            println!("  {:>6}  {:>10.1}  {:>8}", ws.window, ws.average, ws.peak);
+            outln!("  {:>6}  {:>10.1}  {:>8}", ws.window, ws.average, ws.peak);
         }
     }
     if args.has("simulate") {
         let trace = trace.as_deref().expect("trace generated above");
         let stats = TraceStats::compute(trace);
-        println!(
+        outln!(
             "\nsimulation: {} accesses, footprint {}, average reuse {:.1}",
             stats.accesses,
             stats.footprint,
@@ -558,12 +596,13 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
         );
         let sizes: Vec<u64> = ex.candidates.iter().map(|c| c.size).collect();
         let curve = ReuseCurve::simulate(trace, sizes, CurvePolicy::Optimal);
-        println!("Belady-optimal reuse factors at the analytical sizes:");
+        outln!("Belady-optimal reuse factors at the analytical sizes:");
         for p in curve.points() {
-            println!("  {:>8}  {:>8.2}", p.size, p.reuse_factor);
+            outln!("  {:>8}  {:>8.2}", p.size, p.reuse_factor);
         }
     }
     if let Some(path) = args.flag("gnuplot") {
+        let front = ex.pareto(&opts, &tech, &BitCount);
         let analytic: Vec<(f64, f64)> = ex
             .reuse_factor_points()
             .into_iter()
@@ -581,7 +620,7 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
             ],
         );
         std::fs::write(path, script).map_err(|e| e.to_string())?;
-        println!("\ngnuplot script written to {path}");
+        outln!("\ngnuplot script written to {path}");
     }
     if let Some((path, s)) = &explain {
         write_explain(path, s)?;
@@ -613,13 +652,13 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
     };
     if args.has("json") {
         let docs: Vec<String> = explorations.iter().map(|ex| build(ex).to_json()).collect();
-        println!("[{}]", docs.join(","));
+        outln!("[{}]", docs.join(","));
     } else {
         for (i, ex) in explorations.iter().enumerate() {
             if i > 0 {
-                println!();
+                outln!();
             }
-            print!("{}", build(ex));
+            out!("{}", build(ex));
         }
     }
     if let Some((path, s)) = &explain {
@@ -647,9 +686,9 @@ fn cmd_orders(args: &Args) -> Result<(), CliError> {
         limit,
     )
     .map_err(|e| e.to_string())?;
-    println!("loop orderings for `{array}` ranked by best normalized power:");
+    outln!("loop orderings for `{array}` ranked by best normalized power:");
     for o in &orders {
-        println!(
+        outln!(
             "  [{}]  power {:.4} at {} on-chip elements",
             o.loop_names.join(", "),
             o.best_power,
@@ -675,7 +714,7 @@ fn cmd_curve(args: &Args) -> Result<(), CliError> {
     };
     let trace = read_addresses(&program, &array);
     let curve = ReuseCurve::simulate(&trace, sizes, policy);
-    print!("{}", curve.to_gnuplot());
+    out!("{}", curve.to_gnuplot());
     Ok(())
 }
 
@@ -725,13 +764,13 @@ fn cmd_codegen(args: &Args) -> Result<(), CliError> {
             .ok_or_else(|| format!("no read access to `{array}`"))?;
         let code = emit_rust_selfcheck_band(&program, nest_idx, access_idx, depth)
             .map_err(|e| e.to_string())?;
-        print!("{code}");
+        out!("{code}");
         return Ok(());
     }
     // The server's codegen op runs through the same function, so
     // serve-mode output is byte-identical to this subcommand's.
     let code = codegen_text(&program, &array, &spec)?;
-    print!("{code}");
+    out!("{code}");
     Ok(())
 }
 
@@ -803,8 +842,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
     let addr = server.local_addr()?;
     // Single discovery line; port 0 callers parse the chosen port here.
-    println!("datareuse-serve: listening on {addr}");
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    outln!("datareuse-serve: listening on {addr}");
+    flush_stdout()?;
     server.run()?;
     obs.finish()?;
     if let Some(path) = &trace_path {
@@ -830,7 +869,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
     let mut first_error: Option<CliError> = None;
     for line in &args.positional {
         let response = client.send_raw(line)?;
-        println!("{response}");
+        outln!("{response}");
         let Ok(doc) = Json::parse(&response) else {
             continue;
         };
@@ -925,7 +964,6 @@ fn cmd_top(args: &Args) -> Result<(), CliError> {
         once: args.has("once"),
         ascii: args.has("ascii"),
     })
-    .map_err(CliError::Runtime)
 }
 
 fn main() -> ExitCode {
@@ -944,6 +982,7 @@ fn main() -> ExitCode {
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(CliError::ClosedStdout) => ExitCode::SUCCESS,
     }
 }
 

@@ -20,6 +20,8 @@ use std::time::Instant;
 use datareuse_obs::{HistSnapshot, Json};
 use datareuse_server::Client;
 
+use crate::CliError;
+
 /// How `datareuse top` was asked to behave.
 pub struct TopOptions {
     /// Server to poll.
@@ -203,10 +205,10 @@ struct TermGuard;
 impl TermGuard {
     /// Enter the alternate screen and hide the cursor, returning the
     /// guard whose `Drop` undoes both.
-    fn activate() -> TermGuard {
-        print!("\x1b[?1049h\x1b[?25l");
-        let _ = std::io::Write::flush(&mut std::io::stdout());
-        TermGuard
+    fn activate() -> Result<TermGuard, CliError> {
+        out!("\x1b[?1049h\x1b[?25l");
+        crate::flush_stdout()?;
+        Ok(TermGuard)
     }
 
     /// The restore sequence `Drop` writes: leave the alternate screen,
@@ -218,8 +220,9 @@ impl TermGuard {
 
 impl Drop for TermGuard {
     fn drop(&mut self) {
-        print!("{}", TermGuard::restore_bytes());
-        let _ = std::io::Write::flush(&mut std::io::stdout());
+        // Best effort: a closed stdout has no terminal left to restore.
+        let _ = crate::write_stdout(format_args!("{}", TermGuard::restore_bytes()));
+        let _ = crate::flush_stdout();
     }
 }
 
@@ -230,31 +233,34 @@ impl Drop for TermGuard {
 ///
 /// When the server cannot be reached or answers with a malformed or
 /// error response.
-pub fn run_top(opts: &TopOptions) -> Result<(), String> {
+pub fn run_top(opts: &TopOptions) -> Result<(), CliError> {
     let mut client = Client::connect(&opts.addr)?;
     let mut history = History::default();
     // Live mode owns the terminal for the duration: the guard flips to
     // the alternate screen now and restores it on every exit path —
     // error returns and panics included.
-    let _guard = if opts.once { None } else { Some(TermGuard::activate()) };
+    let _guard = if opts.once {
+        None
+    } else {
+        Some(TermGuard::activate()?)
+    };
     loop {
         let doc = client.send(&Json::obj([("op", Json::str("stats"))]))?;
         if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("stats request failed: {doc}"));
+            return Err(format!("stats request failed: {doc}").into());
         }
         let stats = doc.get("result").ok_or("stats response without result")?;
         history.observe(stats, Instant::now());
         let frame = render_frame(&opts.addr, stats, &history, opts.ascii);
         if opts.once && !history.windows.is_empty() {
-            print!("{frame}");
+            out!("{frame}");
             return Ok(());
         }
         if !opts.once {
             // Clear + home, then the frame; redraw-in-place keeps the
             // terminal scrollback usable after Ctrl-C.
-            print!("\x1b[2J\x1b[H{frame}");
-            use std::io::Write as _;
-            std::io::stdout().flush().map_err(|e| e.to_string())?;
+            out!("\x1b[2J\x1b[H{frame}");
+            crate::flush_stdout()?;
         }
         std::thread::sleep(opts.interval);
     }

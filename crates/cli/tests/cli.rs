@@ -249,6 +249,39 @@ fn report_covers_all_signals() {
 }
 
 #[test]
+fn a_reader_closing_stdout_early_is_a_clean_exit() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    // `report` on a 3000×3000 sliding window prints about 300 KiB, well
+    // past a 64 KiB pipe buffer, so the writer is still printing when
+    // the reader hangs up after 300 bytes (`datareuse report … | head`).
+    let n = 3000;
+    let path = temp_path("wide_window.dr");
+    std::fs::write(
+        &path,
+        format!(
+            "array A[{}]; for i in 0..{n} {{ for j in 0..{n} {{ read A[i + j]; }} }}",
+            2 * n - 1
+        ),
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_datareuse"))
+        .args(["report", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 300];
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    let out = child.wait_with_output().unwrap();
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(String::from_utf8_lossy(&head).contains("signal `A`"));
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
 fn explore_json_emits_machine_readable_report() {
     let (ok, stdout, stderr) = datareuse(&["explore", "me-small", "--array", "Old", "--json"]);
     assert!(ok, "{stderr}");

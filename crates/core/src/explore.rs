@@ -515,34 +515,6 @@ impl SignalExploration {
         front
     }
 
-    /// The hierarchy minimizing the eq. 2 weighted cost
-    /// `F_c = α·power + β·size` over all enumerated chains, each costed
-    /// with the eq. 3 hierarchy power model.
-    ///
-    /// Returns the chain and its cost (the baseline when nothing beats
-    /// it).
-    pub fn best_chain(
-        &self,
-        opts: &ExploreOptions,
-        tech: &MemoryTechnology,
-        area: &(impl AreaModel + Sync),
-        alpha: f64,
-        beta: f64,
-    ) -> (CopyChain, ChainCost) {
-        let _timer = span("best_chain");
-        let threads = crate::par::resolve_threads(opts.threads);
-        crate::par::parallel_map(threads, self.chains(opts), |chain| {
-            let cost = evaluate_chain(&chain, tech, area);
-            (chain, cost)
-        })
-        .into_iter()
-        .min_by(|a, b| {
-            a.1.weighted(alpha, beta)
-                .total_cmp(&b.1.weighted(alpha, beta))
-        })
-        .expect("enumeration always includes the baseline")
-    }
-
     /// The `(size, F_R)` pairs of all signal candidates, sorted by size —
     /// the analytical overlay of Fig. 10a/11a.
     pub fn reuse_factor_points(&self) -> Vec<(u64, f64)> {
@@ -609,32 +581,6 @@ pub fn explore_program_explained(
         out.push(explore_signal_explained(program, decl.name(), opts, explain)?);
     }
     Ok(out)
-}
-
-/// Builds the per-signal option menus for [`crate::assign_layers`] from a
-/// whole-program exploration: each signal's Pareto-front hierarchies
-/// (baseline included) evaluated under the given technology.
-///
-/// # Errors
-///
-/// Propagates the first per-signal [`AnalyzeError`].
-pub fn assignment_menu(
-    program: &Program,
-    opts: &ExploreOptions,
-    tech: &MemoryTechnology,
-    area: &(impl AreaModel + Sync),
-) -> Result<Vec<crate::assign::SignalOptions>, AnalyzeError> {
-    Ok(explore_program(program, opts)?
-        .into_iter()
-        .map(|ex| crate::assign::SignalOptions {
-            array: ex.array.clone(),
-            options: ex
-                .pareto(opts, tech, area)
-                .into_iter()
-                .map(|p| p.payload)
-                .collect(),
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -737,20 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn best_chain_respects_the_weights() {
-        let ex = explore_signal(&simple(), "A", &ExploreOptions::default()).unwrap();
-        let tech = MemoryTechnology::new();
-        // Energy-only: a hierarchy wins.
-        let (chain, _) = ex.best_chain(&ExploreOptions::default(), &tech, &BitCount, 1.0, 0.0);
-        assert!(!chain.levels.is_empty());
-        // Size-dominated: the baseline wins.
-        let (chain, cost) =
-            ex.best_chain(&ExploreOptions::default(), &tech, &BitCount, 0.0, 1.0);
-        assert!(chain.levels.is_empty());
-        assert_eq!(cost.onchip_words, 0);
-    }
-
-    #[test]
     fn options_control_candidate_families() {
         let none = ExploreOptions {
             include_partial: false,
@@ -822,9 +754,6 @@ mod tests {
                     assert_eq!(a.power, b.power);
                     assert_eq!(a.payload.0, b.payload.0);
                 }
-                let best_single = ex_single.best_chain(&single, &tech, &BitCount, 1.0, 0.1);
-                let best_multi = ex_multi.best_chain(&multi, &tech, &BitCount, 1.0, 0.1);
-                assert_eq!(best_single.0, best_multi.0);
             }
         }
     }
@@ -865,26 +794,6 @@ mod tests {
         let names: Vec<&str> = all.iter().map(|e| e.array.as_str()).collect();
         assert_eq!(names, vec!["A", "B"]); // C is write-only
         assert!(all.iter().all(|e| e.c_tot == 128));
-    }
-
-    #[test]
-    fn assignment_menu_feeds_the_global_step() {
-        let p = parse_program(
-            "array A[23]; array B[16];
-             for j in 0..16 { for k in 0..8 { read A[j + k]; read B[k]; } }",
-        )
-        .unwrap();
-        let tech = MemoryTechnology::new();
-        let menu =
-            assignment_menu(&p, &ExploreOptions::default(), &tech, &BitCount).unwrap();
-        assert_eq!(menu.len(), 2);
-        // Every menu opens with the baseline (size-0) option.
-        for m in &menu {
-            assert_eq!(m.options[0].1.onchip_words, 0);
-            assert!(m.options.len() >= 2);
-        }
-        let asg = crate::assign::assign_layers(&menu, 1.0, 0.0, None).unwrap();
-        assert!(asg.total_words > 0, "hierarchies should win unconstrained");
     }
 
     #[test]

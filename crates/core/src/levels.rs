@@ -265,18 +265,14 @@ pub fn enumerate_chains(
         base: &CopyChain,
         out: &mut Vec<CopyChain>,
     ) {
-        if stack.len() >= max_depth {
+        // A bypassing level may only sit innermost, so nothing goes
+        // inside one.
+        if stack.len() >= max_depth || stack.last().is_some_and(|prev| prev.bypasses > 0) {
             return;
         }
         for (offset, cand) in candidates[from..].iter().enumerate() {
             if let Some(prev) = stack.last() {
                 if cand.size >= prev.size || cand.fills < prev.fills {
-                    continue;
-                }
-                // A bypassing level may only sit innermost; since we are
-                // about to put `cand` inside `prev`, `prev` must not
-                // bypass.
-                if prev.bypasses > 0 {
                     continue;
                 }
             } else if cand.size >= base.background_words {
@@ -392,6 +388,41 @@ mod tests {
                 .enumerate()
                 .all(|(i, l)| l.bypasses == 0 || i == c.levels.len() - 1)
         }));
+    }
+
+    #[test]
+    fn bypassing_levels_end_the_walk_in_linear_time() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // The sliding window `read A[i + j]`, `i, j in 0..n`, offers n − 1
+        // candidates, all but one bypassing. Nothing nests inside a
+        // bypassing level, so enumeration must return from it at once
+        // rather than test every later candidate: O(n²) → O(n). In a
+        // debug build at n = 3·10⁴ the quadratic walk takes about 6 s,
+        // the linear one about 16 ms; the 500 ms limit keeps a 10×
+        // margin either way. The walk runs on its own thread so the
+        // quadratic one fails at the limit instead of hanging.
+        let n = 30_000;
+        let program = datareuse_loopir::parse_program(&format!(
+            "array A[{}]; for i in 0..{n} {{ for j in 0..{n} {{ read A[i + j]; }} }}",
+            2 * n - 1
+        ))
+        .unwrap();
+        let ex = crate::explore_signal(&program, "A", &crate::ExploreOptions::default()).unwrap();
+        let bypassing = ex.candidates.iter().filter(|c| c.bypasses > 0).count();
+        assert_eq!((ex.candidates.len(), bypassing), (n - 1, n - 2));
+        let (tx, rx) = mpsc::channel();
+        let walk = std::thread::spawn(move || {
+            let chains =
+                enumerate_chains(&ex.candidates, ex.c_tot, ex.background_words, ex.bits, 2);
+            tx.send(chains.len()).unwrap();
+        });
+        let chains = rx
+            .recv_timeout(Duration::from_millis(500))
+            .expect("chain enumeration is linear in the bypassing candidates");
+        walk.join().unwrap();
+        // The baseline and every candidate alone: no two of them nest.
+        assert_eq!(chains, n);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! | eq. 19–22: partial reuse with bypass | [`partial_reuse`] with `bypass = true` |
 //! | Fig. 4a discontinuities `A₁…A₄` | [`footprint_levels`], [`SymbolicProfile::level_candidates`] |
 //! | eq. 1 in closed form, any depth | [`SymbolicProfile`], [`StridedInterval`] |
-//! | Fig. 4a staircase / reuse distances | [`SymbolicProfile::miss_curve`], [`SymbolicProfile::reuse_histogram`] |
 //! | "all possible hierarchies combining points" | [`enumerate_chains`] |
 //! | per-signal exploration | [`explore_signal`], [`SignalExploration`] |
-//! | global hierarchy layer assignment | [`assign_layers`] |
 //!
 //! # Examples
 //!
@@ -42,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod assign;
 mod error;
 mod explain;
 mod explore;
@@ -57,15 +54,14 @@ mod stride;
 mod symbolic;
 mod vectors;
 
-pub use assign::{assign_layers, Assignment, SignalOptions};
 pub use error::AnalyzeError;
 pub use explain::{
     candidate_record, chain_record, emit_candidate_records, emit_chain_records, symbolic_record,
     why_lines, PairVector,
 };
 pub use explore::{
-    assignment_menu, explore_program, explore_program_explained, explore_signal,
-    explore_signal_explained, AccessGroup, ExploreOptions, SignalExploration,
+    explore_program, explore_program_explained, explore_signal, explore_signal_explained,
+    AccessGroup, ExploreOptions, SignalExploration,
 };
 pub use footprint::{footprint_levels, read_count, LevelCandidate};
 pub use footprint::footprint_levels_merged;
@@ -79,8 +75,5 @@ pub use par::{max_reasonable_threads, parallel_map, resolve_threads, sanitize_th
 pub use partial::{gamma_interval, partial_reuse, partial_sweep};
 pub use report::{describe_source, ExplorationReport, HierarchyRow, Json, JsonParseError};
 pub use stride::StridedInterval;
-pub use symbolic::{
-    symbolic_profile, ReuseBucket, ReuseHistogram, SymbolicFallback, SymbolicLevel,
-    SymbolicProfile,
-};
+pub use symbolic::{symbolic_profile, SymbolicFallback, SymbolicLevel, SymbolicProfile};
 pub use vectors::{gcd, reuse_chain_length, ReuseClass};

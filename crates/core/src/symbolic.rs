@@ -1,6 +1,5 @@
-//! Symbolic reuse profiles: closed-form footprints, fills, miss-rate
-//! curves, and reuse-distance distributions for arbitrary-depth affine
-//! nests.
+//! Symbolic reuse profiles: closed-form footprints and fills for
+//! arbitrary-depth affine nests.
 //!
 //! The paper's analytical model (eq. 1–22) covers the double inner nest;
 //! [`crate::footprint_levels`] extends it to deeper nests by *enumerating*
@@ -37,8 +36,6 @@
 //! |---|---|
 //! | eq. 1: `F_R = C_tot / C_j` | [`crate::LevelCandidate::reuse_factor`] on [`SymbolicProfile::level_candidates`] |
 //! | Fig. 4a discontinuities `A₁…A₄` | [`SymbolicProfile::level_candidates`] (sizes) |
-//! | Fig. 4a reuse-factor staircase | [`SymbolicProfile::miss_curve`] |
-//! | Section 4 "distance in time … number of different data elements" | [`SymbolicProfile::reuse_histogram`] |
 
 use std::fmt;
 
@@ -265,56 +262,6 @@ impl SymbolicProfile {
             .collect()
     }
 
-    /// The miss-rate staircase: `(capacity, fills)` points sorted by
-    /// ascending capacity with strictly decreasing fills — the lower
-    /// envelope of the candidate levels plus the saturation point
-    /// `(footprint, footprint)` where every miss is compulsory. Empty
-    /// for a streaming access with no reuse at all.
-    pub fn miss_curve(&self) -> Vec<(u64, u64)> {
-        let mut pts: Vec<(u64, u64)> = self.levels.iter().map(|l| (l.size, l.fills)).collect();
-        pts.push((self.total_footprint, self.total_footprint));
-        pts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for (cap, fills) in pts {
-            if fills >= self.c_tot {
-                continue; // no reuse at this capacity
-            }
-            match out.last() {
-                Some(&(prev_cap, prev_fills)) => {
-                    if cap != prev_cap && fills < prev_fills {
-                        out.push((cap, fills));
-                    }
-                }
-                None => out.push((cap, fills)),
-            }
-        }
-        out
-    }
-
-    /// The symbolic reuse-distance distribution: how many accesses hit
-    /// at each capacity step of the miss curve, plus the compulsory
-    /// (first-touch) misses no capacity removes. Conserves `C_tot`
-    /// exactly: `Σ bucket counts + remaining misses = C_tot`.
-    pub fn reuse_histogram(&self) -> ReuseHistogram {
-        let mut buckets = Vec::new();
-        let mut misses = self.c_tot;
-        for (cap, fills) in self.miss_curve() {
-            let count = misses - fills;
-            if count > 0 {
-                buckets.push(ReuseBucket {
-                    distance: cap,
-                    count,
-                });
-            }
-            misses = fills;
-        }
-        ReuseHistogram {
-            buckets,
-            compulsory: self.total_footprint.min(misses),
-            uncaptured: misses - self.total_footprint.min(misses),
-            c_tot: self.c_tot,
-        }
-    }
 }
 
 /// Closed-form footprint and consecutive-carrier-step overlap of the
@@ -377,41 +324,6 @@ fn group_terms(
     Ok((footprint, overlap))
 }
 
-/// The symbolic reuse-distance distribution of an access group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReuseHistogram {
-    /// `(distance, count)` buckets in ascending distance: `count`
-    /// accesses become hits once the copy-candidate holds `distance`
-    /// elements.
-    pub buckets: Vec<ReuseBucket>,
-    /// First-touch loads: the whole-nest footprint.
-    pub compulsory: u64,
-    /// Misses beyond the compulsory ones that no candidate level
-    /// captures (reuse the hold-footprint schedule cannot exploit, e.g.
-    /// lagged reuse the pairwise model covers instead).
-    pub uncaptured: u64,
-    /// Total accesses, for conservation checks.
-    pub c_tot: u64,
-}
-
-/// One reuse-distance bucket: `count` accesses whose symbolic reuse
-/// distance is `distance` elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReuseBucket {
-    /// Capacity at which these accesses turn into hits.
-    pub distance: u64,
-    /// Number of accesses in the bucket.
-    pub count: u64,
-}
-
-impl ReuseHistogram {
-    /// Sum of all bucket counts plus compulsory and uncaptured misses —
-    /// always equals `c_tot`.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().map(|b| b.count).sum::<u64>() + self.compulsory + self.uncaptured
-    }
-}
-
 /// The symbolic twin of [`crate::footprint_levels`]: groups the accesses
 /// sharing `nest.accesses()[access]`'s array, exact index expression and
 /// kind, then analyzes the group symbolically.
@@ -436,7 +348,7 @@ mod tests {
     use super::*;
     use crate::footprint::{footprint_levels, footprint_levels_merged};
     use datareuse_loopir::{parse_program, read_addresses, Program};
-    use datareuse_trace::{distinct_count, opt_simulate};
+    use datareuse_trace::distinct_count;
 
     fn program(src: &str) -> Program {
         parse_program(src).expect("valid program")
@@ -577,58 +489,6 @@ mod tests {
             SymbolicProfile::analyze(&p.nests()[0], &[0, 1]),
             Err(SymbolicFallback::NotTranslated)
         );
-    }
-
-    #[test]
-    fn miss_curve_is_a_strict_staircase_validated_by_belady() {
-        let p = program(
-            "array A[39][39];
-             for i1 in 0..8 { for i3 in 0..8 { for i5 in 0..4 { for i6 in 0..12 {
-               read A[4*i1 + i3 + i5][i6];
-             } } } }",
-        );
-        let profile = symbolic_profile(&p.nests()[0], 0).unwrap();
-        let curve = profile.miss_curve();
-        assert!(!curve.is_empty());
-        for w in curve.windows(2) {
-            assert!(w[0].0 < w[1].0 && w[0].1 > w[1].1, "not a staircase: {curve:?}");
-        }
-        // The curve saturates at compulsory-only misses; the depth-1
-        // candidate (cap 132) reaches that before the full footprint, so
-        // the redundant (footprint, footprint) point is enveloped away.
-        assert_eq!(curve.last().unwrap().1, profile.total_footprint());
-        assert!(curve.last().unwrap().0 <= profile.total_footprint());
-        // Every point is feasible: Belady at that capacity does at least
-        // as well, and no policy beats compulsory misses.
-        let trace = read_addresses(&p, "A");
-        for &(cap, fills) in &curve {
-            let opt = opt_simulate(&trace, cap);
-            assert!(opt.fills <= fills, "OPT {} > symbolic {fills} at {cap}", opt.fills);
-            assert!(fills >= profile.total_footprint());
-        }
-    }
-
-    #[test]
-    fn reuse_histogram_conserves_c_tot() {
-        for src in [
-            "array A[23]; for j in 0..16 { for k in 0..8 { read A[j + k]; } }",
-            "array A[8][8]; for j in 0..8 { for k in 0..8 { read A[j][k]; } }", // streaming
-            "array A[50]; for j in 0..8 { for k in 0..6 { read A[2*j + 4*k]; } }", // lagged
-            "array Old[39][39];
-             for i1 in 0..8 { for i2 in 0..8 { for i3 in 0..8 { for i4 in 0..8 {
-               for i5 in 0..4 { for i6 in 0..4 {
-                 read Old[4*i1 + i3 + i5][4*i2 + i4 + i6];
-             } } } } } }",
-        ] {
-            let p = program(src);
-            let profile = symbolic_profile(&p.nests()[0], 0).unwrap();
-            let hist = profile.reuse_histogram();
-            assert_eq!(hist.total(), profile.c_tot(), "{src}");
-            assert_eq!(hist.compulsory, profile.total_footprint(), "{src}");
-            for w in hist.buckets.windows(2) {
-                assert!(w[0].distance < w[1].distance);
-            }
-        }
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl ReuseClass {
             _ => None,
         }
     }
-
-    /// True when some reuse exists in the pair's iteration space
-    /// (rank ≤ 1).
-    pub fn carries_reuse(&self) -> bool {
-        !matches!(self, Self::NoReuse)
-    }
 }
 
 impl std::fmt::Display for ReuseClass {
@@ -191,7 +185,7 @@ mod tests {
     fn rank_zero_is_same_element() {
         assert_eq!(ReuseClass::classify(&[(0, 0), (0, 0)]), ReuseClass::SameElement);
         assert_eq!(ReuseClass::classify(&[]), ReuseClass::SameElement);
-        assert!(ReuseClass::classify(&[(0, 0)]).carries_reuse());
+        assert_eq!(ReuseClass::classify(&[(0, 0)]), ReuseClass::SameElement);
     }
 
     #[test]
@@ -271,7 +265,7 @@ mod tests {
     #[test]
     fn non_parallel_rows_have_no_reuse() {
         assert_eq!(ReuseClass::classify(&[(1, 1), (1, 2)]), ReuseClass::NoReuse);
-        assert!(!ReuseClass::classify(&[(1, 0), (0, 1)]).carries_reuse());
+        assert_eq!(ReuseClass::classify(&[(1, 0), (0, 1)]), ReuseClass::NoReuse);
     }
 
     #[test]

@@ -38,7 +38,6 @@
 mod corpus;
 mod fir;
 mod matmul;
-mod mc;
 mod me;
 mod registry;
 mod stencils;
@@ -48,7 +47,6 @@ pub use corpus::{corpus, corpus_kernel, generate_corpus, CorpusEntry, DEFAULT_CO
 pub use fir::Fir;
 pub use registry::{builtin_kernel, load_kernel, BUILTINS};
 pub use matmul::{MatMul, MatMulOrder};
-pub use mc::MotionCompensation;
 pub use me::MotionEstimation;
 pub use stencils::{Conv2d, Downsample, Sobel};
 pub use susan::Susan;

@@ -110,11 +110,6 @@ impl AffineExpr {
         }
     }
 
-    /// Adds a constant in place.
-    pub fn add_constant(&mut self, value: i64) {
-        self.constant += value;
-    }
-
     /// True when the expression contains no iterator terms.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
@@ -123,11 +118,6 @@ impl AffineExpr {
     /// Iterator names with non-zero coefficients, in sorted order.
     pub fn iterators(&self) -> impl Iterator<Item = &str> {
         self.terms.keys().map(String::as_str)
-    }
-
-    /// Number of iterators with non-zero coefficients.
-    pub fn arity(&self) -> usize {
-        self.terms.len()
     }
 
     /// Evaluates the expression for concrete iterator values.
@@ -146,11 +136,6 @@ impl AffineExpr {
             + self.constant
     }
 
-    /// Evaluates against a slice of `(name, value)` bindings.
-    pub fn eval_bindings(&self, bindings: &[(&str, i64)]) -> i64 {
-        self.eval(|n| bindings.iter().find(|(b, _)| *b == n).map(|(_, v)| *v))
-    }
-
     /// Substitutes `name := replacement` and returns the result.
     ///
     /// Used to normalize loops with step sizes larger than 1: the paper notes
@@ -166,7 +151,7 @@ impl AffineExpr {
                 for (rn, rc) in &scaled.terms {
                     out.add_term(rn.clone(), *rc);
                 }
-                out.add_constant(scaled.constant);
+                out.constant += scaled.constant;
             } else {
                 out.add_term(n.clone(), *c);
             }
@@ -314,8 +299,13 @@ mod tests {
     #[test]
     fn eval_uses_bindings_and_defaults_missing_to_zero() {
         let e = AffineExpr::term("i", 3) + AffineExpr::term("j", -2) + 7;
-        assert_eq!(e.eval_bindings(&[("i", 2), ("j", 5)]), 3);
-        assert_eq!(e.eval_bindings(&[("i", 2)]), 13);
+        let both = |n: &str| match n {
+            "i" => Some(2),
+            "j" => Some(5),
+            _ => None,
+        };
+        assert_eq!(e.eval(both), 3);
+        assert_eq!(e.eval(|n| (n == "i").then_some(2)), 13);
     }
 
     #[test]

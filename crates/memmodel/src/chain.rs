@@ -208,20 +208,6 @@ pub struct ChainCost {
 }
 
 impl ChainCost {
-    /// The combined exploration cost `F_c = α·energy + β·size` (eq. 2).
-    pub fn weighted(&self, alpha: f64, beta: f64) -> f64 {
-        alpha * self.energy + beta * self.size_cost
-    }
-
-    /// Average power at a frame rate: the paper's `F_access` "is obtained
-    /// by multiplying the number of memory accesses per frame for a given
-    /// signal with the frame rate of the application (this is **not** the
-    /// clock frequency)". `energy` here is per frame, so power is simply
-    /// `energy · F_frame`.
-    pub fn average_power(&self, frame_rate: f64) -> f64 {
-        self.energy * frame_rate
-    }
-
     /// Serializes the eq. 2–3 cost terms for the audit log.
     pub fn to_json(&self) -> datareuse_obs::Json {
         datareuse_obs::Json::obj([
@@ -463,18 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn average_power_scales_with_frame_rate() {
-        let cost = ChainCost {
-            energy: 2.5,
-            normalized_energy: 0.5,
-            size_cost: 1.0,
-            onchip_words: 1,
-        };
-        assert_eq!(cost.average_power(30.0), 75.0);
-        assert_eq!(cost.average_power(0.0), 0.0);
-    }
-
-    #[test]
     fn platform_evaluation_rounds_merges_and_drops() {
         use crate::library::MemoryLibrary;
         let t = tech();
@@ -491,18 +465,5 @@ mod tests {
         assert_eq!(fills, vec![50, 400]);
         physical.validate().unwrap();
         assert!(cost.normalized_energy < 1.0);
-    }
-
-    #[test]
-    fn weighted_cost_combines_alpha_beta() {
-        let cost = ChainCost {
-            energy: 10.0,
-            normalized_energy: 0.5,
-            size_cost: 4.0,
-            onchip_words: 4,
-        };
-        assert_eq!(cost.weighted(1.0, 0.0), 10.0);
-        assert_eq!(cost.weighted(0.0, 2.0), 8.0);
-        assert_eq!(cost.weighted(2.0, 0.5), 22.0);
     }
 }

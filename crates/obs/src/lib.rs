@@ -8,8 +8,8 @@
 //! - **Counters and gauges** ([`Counter`], [`Gauge`], [`add`],
 //!   [`gauge_max`]) — fixed-enum atomic counts of pipeline events:
 //!   candidates generated and pruned, chains enumerated and costed, Pareto
-//!   points kept, Belady evictions, stack-distance samples, working-set
-//!   windows, parallel-sweep items.
+//!   points kept, Belady evictions, working-set windows, parallel-sweep
+//!   items.
 //! - **Spans** ([`span`], [`span_with`]) — one RAII guard that charges
 //!   wall time *and* bytes allocated in scope to a `/`-joined
 //!   hierarchical path (`explore/pairs`, `explore/chains`) and, with

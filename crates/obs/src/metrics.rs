@@ -50,7 +50,6 @@ pub enum Counter {
     BeladyHits,
     BeladyEvictions,
     BeladyBypasses,
-    StackDistSamples,
     WorkingSetWindows,
     CurvePoints,
     ParSweeps,
@@ -70,7 +69,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 38] = [
         Counter::ExploreGroups,
         Counter::ExplorePairsSwept,
         Counter::ExploreCandidatesGenerated,
@@ -94,7 +93,6 @@ impl Counter {
         Counter::BeladyHits,
         Counter::BeladyEvictions,
         Counter::BeladyBypasses,
-        Counter::StackDistSamples,
         Counter::WorkingSetWindows,
         Counter::CurvePoints,
         Counter::ParSweeps,
@@ -138,7 +136,6 @@ impl Counter {
             Counter::BeladyHits => "belady_hits",
             Counter::BeladyEvictions => "belady_evictions",
             Counter::BeladyBypasses => "belady_bypasses",
-            Counter::StackDistSamples => "stackdist_samples",
             Counter::WorkingSetWindows => "workingset_windows",
             Counter::CurvePoints => "curve_points",
             Counter::ParSweeps => "par_sweeps",

@@ -19,12 +19,11 @@ use std::time::{Duration, Instant};
 use crate::metrics::{counter_value, Counter};
 
 /// The counters worth narrating, with short human labels.
-const NARRATED: [(Counter, &str); 10] = [
+const NARRATED: [(Counter, &str); 9] = [
     (Counter::ExploreCandidatesGenerated, "candidates"),
     (Counter::ChainsEvaluated, "chains"),
     (Counter::ParetoPointsKept, "pareto"),
     (Counter::BeladyAccesses, "belady-acc"),
-    (Counter::StackDistSamples, "stackdist"),
     (Counter::WorkingSetWindows, "ws-windows"),
     (Counter::ServeRequests, "requests"),
     (Counter::ServeCacheHits, "cache-hits"),

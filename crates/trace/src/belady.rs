@@ -270,7 +270,6 @@ mod tests {
         assert_eq!(r.fills, 1); // only `0` is ever copied
         assert_eq!(r.bypasses, 4);
         assert_eq!(r.hits, 4);
-        assert_eq!(r.upstream_reads(), 5);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   with the Section 6.2 bypass of not-reused data;
 //! - [`lru_simulate`], [`fifo_simulate`], [`direct_mapped_simulate`] —
 //!   hardware replacement baselines;
-//! - [`StackDistances`] — one-pass LRU miss counts for every capacity;
 //! - [`ReuseCurve`] — the data reuse factor curve of Fig. 4a/10a/11a;
 //! - [`TraceStats`] — footprint and reuse summaries.
 //!
@@ -32,22 +31,18 @@
 
 mod belady;
 mod curve;
-mod hierarchy;
 mod lines;
 mod policies;
 mod result;
 mod sampling;
-mod stackdist;
 mod stats;
 mod workingset;
 
 pub use belady::{opt_simulate, opt_simulate_bypass, opt_simulate_bypass_many, opt_simulate_many};
 pub use curve::{CurvePoint, CurvePolicy, ReuseCurve};
-pub use hierarchy::{hierarchy_simulate, opt_simulate_with_stream, HierarchySim};
 pub use lines::{interleave, to_lines};
 pub use policies::{direct_mapped_simulate, fifo_simulate, lru_simulate};
 pub use result::SimResult;
-pub use sampling::{adaptive_reuse_curve, sampled_reuse_curve, SampledCurve};
-pub use stackdist::StackDistances;
+pub use sampling::{sampled_reuse_curve, SampledCurve};
 pub use stats::{distinct_count, TraceStats};
-pub use workingset::{working_set_curve, working_set_profile, WorkingSetProfile};
+pub use workingset::{working_set_profile, WorkingSetProfile};

@@ -47,20 +47,6 @@ impl SimResult {
             copied as f64 / self.fills as f64
         }
     }
-
-    /// Reads from the level above the copy-candidate: fills plus bypasses.
-    pub fn upstream_reads(&self) -> u64 {
-        self.fills + self.bypasses
-    }
-
-    /// Hit rate in `[0, 1]`; 0 for an empty trace.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,8 +64,6 @@ mod tests {
         };
         assert_eq!(r.misses(), 20);
         assert!((r.reuse_factor() - 5.0).abs() < 1e-12);
-        assert!((r.hit_rate() - 0.8).abs() < 1e-12);
-        assert_eq!(r.upstream_reads(), 20);
     }
 
     #[test]

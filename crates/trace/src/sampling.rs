@@ -10,7 +10,7 @@
 //! (non-affine indexing, data-dependent guards).
 
 use crate::belady::{opt_simulate_bypass_many, opt_simulate_many};
-use crate::curve::{CurvePoint, CurvePolicy, ReuseCurve};
+use crate::curve::{CurvePoint, CurvePolicy};
 
 fn mix(addr: u64) -> u64 {
     // splitmix64 finalizer.
@@ -29,17 +29,6 @@ pub struct SampledCurve {
     pub sampled_accesses: u64,
     /// Estimated curve points (counts rescaled by `1/rate`).
     pub points: Vec<CurvePoint>,
-}
-
-impl SampledCurve {
-    /// Estimated reuse factor at the largest simulated size ≤ `size`.
-    pub fn reuse_factor_at(&self, size: u64) -> Option<f64> {
-        self.points
-            .iter()
-            .rev()
-            .find(|p| p.size <= size)
-            .map(|p| p.reuse_factor)
-    }
 }
 
 /// Simulates a Belady curve on an address-sampled trace.
@@ -105,25 +94,6 @@ pub fn sampled_reuse_curve(
     }
 }
 
-/// Convenience: exact curve when the trace is small, sampled otherwise.
-pub fn adaptive_reuse_curve(
-    trace: &[u64],
-    sizes: Vec<u64>,
-    policy: CurvePolicy,
-    exact_below: usize,
-    rate: f64,
-) -> SampledCurve {
-    if trace.len() <= exact_below {
-        let curve = ReuseCurve::simulate(trace, sizes, policy);
-        return SampledCurve {
-            rate: 1.0,
-            sampled_accesses: trace.len() as u64,
-            points: curve.points().to_vec(),
-        };
-    }
-    sampled_reuse_curve(trace, sizes, rate, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,23 +140,6 @@ mod tests {
             );
         }
         assert!(sampled.sampled_accesses < t.len() as u64 / 2);
-    }
-
-    #[test]
-    fn adaptive_switches_on_trace_length() {
-        let small: Vec<u64> = (0..100u64).collect();
-        let a = adaptive_reuse_curve(&small, vec![8], CurvePolicy::Optimal, 1000, 0.1);
-        assert_eq!(a.rate, 1.0);
-        let b = adaptive_reuse_curve(
-            &big_window_trace(),
-            vec![64],
-            CurvePolicy::Optimal,
-            1000,
-            0.1,
-        );
-        assert!(b.rate < 1.0);
-        assert!(b.reuse_factor_at(64).is_some());
-        assert!(b.reuse_factor_at(0).is_none());
     }
 
     #[test]

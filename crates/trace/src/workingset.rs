@@ -87,14 +87,6 @@ pub fn working_set_profile(trace: &[u64], window: u64) -> WorkingSetProfile {
     }
 }
 
-/// Profiles several window lengths at once (each `O(n)`).
-pub fn working_set_curve(trace: &[u64], windows: &[u64]) -> Vec<WorkingSetProfile> {
-    windows
-        .iter()
-        .map(|&w| working_set_profile(trace, w))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +111,10 @@ mod tests {
     #[test]
     fn peak_grows_monotonically_with_window() {
         let t: Vec<u64> = (0..200u64).map(|i| (i * 13) % 31).collect();
-        let curve = working_set_curve(&t, &[1, 4, 16, 64, 200]);
+        let curve: Vec<WorkingSetProfile> = [1, 4, 16, 64, 200]
+            .iter()
+            .map(|&w| working_set_profile(&t, w))
+            .collect();
         for w in curve.windows(2) {
             assert!(w[1].peak >= w[0].peak);
             assert!(w[1].average >= w[0].average);

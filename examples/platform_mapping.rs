@@ -1,76 +1,45 @@
-//! Mapping onto a predefined memory platform, and the global hierarchy
-//! layer assignment across several signals.
+//! Mapping onto a predefined memory platform.
 //!
 //! The paper's methodology serves two targets: a custom hierarchy, and
 //! "efficiently using a predefined memory hierarchy with software cache
 //! control", where the virtual copy-candidate chain is collapsed onto the
 //! available physical layers. This example explores two signals of the
-//! motion-estimation kernel plus the SUSAN image, collapses their chains
-//! onto a power-of-two scratch-pad library, and lets the global
-//! assignment divide a fixed on-chip budget between them.
+//! motion-estimation kernel plus the SUSAN image and collapses the
+//! lowest-power chain of each onto a power-of-two scratch-pad library.
 //!
 //! Run with `cargo run --release --example platform_mapping`.
 
 use datareuse::prelude::*;
 
-fn explore_menu(
-    program: &Program,
-    array: &str,
-    tech: &MemoryTechnology,
-) -> Result<SignalOptions, Box<dyn std::error::Error>> {
-    let opts = ExploreOptions::default();
-    let ex = explore_signal(program, array, &opts)?;
-    let options = ex
-        .pareto(&opts, tech, &BitCount)
-        .into_iter()
-        .map(|p| (p.payload.0, p.payload.1))
-        .collect();
-    Ok(SignalOptions {
-        array: array.to_string(),
-        options,
-    })
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = MemoryTechnology::new();
+    let opts = ExploreOptions::default();
     let me = MotionEstimation::SMALL.program();
     let susan = Susan::SMALL.program();
-
-    // Per-signal Pareto menus (DTSE step 3), including the baseline.
-    let signals = vec![
-        explore_menu(&me, MotionEstimation::OLD, &tech)?,
-        explore_menu(&me, MotionEstimation::NEW, &tech)?,
-        explore_menu(&susan, Susan::IMAGE, &tech)?,
-    ];
-    for s in &signals {
-        println!("signal `{}`: {} Pareto options", s.array, s.options.len());
-    }
-
-    // Global hierarchy layer assignment under a shared on-chip budget.
-    println!("\nglobal assignment under decreasing on-chip budgets:");
-    for budget in [4096u64, 1024, 256, 64, 0] {
-        let assignment =
-            assign_layers(&signals, 1.0, 0.0, Some(budget)).expect("baselines keep it feasible");
-        print!("  budget {budget:>5}: total words {:>5}, cost {:>10.1} | ",
-            assignment.total_words, assignment.total_cost);
-        for (s, &choice) in signals.iter().zip(&assignment.choice) {
-            let words = s.options[choice].1.onchip_words;
-            print!("{}={words} ", s.array);
-        }
-        println!();
-    }
-
-    // Collapse a virtual chain onto a fixed scratch-pad library.
     let library = MemoryLibrary::powers_of_two(16, 4096);
-    println!("\nscratch-pad library: {:?}", library.sizes());
-    let chosen = &signals[0].options.last().expect("non-empty menu").0;
-    let virtual_sizes: Vec<u64> = chosen.levels.iter().map(|l| l.words).collect();
-    let physical = library.collapse(&virtual_sizes);
-    println!(
-        "virtual chain for `{}`: {:?} -> physical layers {:?}",
-        signals[0].array,
-        virtual_sizes,
-        physical.iter().map(|(w, _)| *w).collect::<Vec<_>>()
-    );
+    println!("scratch-pad library: {:?}", library.sizes());
+
+    for (program, array) in [
+        (&me, MotionEstimation::OLD),
+        (&me, MotionEstimation::NEW),
+        (&susan, Susan::IMAGE),
+    ] {
+        let front = explore_signal(program, array, &opts)?.pareto(&opts, &tech, &BitCount);
+        // The front is sorted by size with power falling: its last point
+        // is the lowest-power hierarchy.
+        let chosen = &front
+            .last()
+            .expect("the baseline is always on the front")
+            .payload
+            .0;
+        let virtual_sizes: Vec<u64> = chosen.levels.iter().map(|l| l.words).collect();
+        let physical = library.collapse(&virtual_sizes);
+        println!(
+            "signal `{array}` ({} Pareto options): virtual chain {:?} -> physical layers {:?}",
+            front.len(),
+            virtual_sizes,
+            physical.iter().map(|(w, _)| *w).collect::<Vec<_>>()
+        );
+    }
     Ok(())
 }

@@ -18,7 +18,6 @@
 //! | [`model`] | `datareuse-core` | the paper's analytical model (eq. 4–22) and exploration |
 //! | [`codegen`] | `datareuse-codegen` | Fig. 8 templates, verifying schedule interpreter, gnuplot |
 //! | [`kernels`] | `datareuse-kernels` | motion estimation, SUSAN, conv2d, matmul, … |
-//! | [`steps`] | `datareuse-steps` | downstream DTSE steps: SCBD and in-place mapping |
 //! | [`obs`] | `datareuse-obs` | counters, timed spans, JSON metrics snapshots, progress |
 //! | [`server`] | `datareuse-server` | NDJSON-over-TCP serving daemon: worker pool, result cache, deadlines |
 //!
@@ -55,7 +54,6 @@ pub use datareuse_kernels as kernels;
 pub use datareuse_loopir as loopir;
 pub use datareuse_memmodel as memmodel;
 pub use datareuse_server as server;
-pub use datareuse_steps as steps;
 pub use datareuse_trace as trace;
 
 /// One-stop imports for the common exploration workflow.
@@ -65,26 +63,22 @@ pub mod prelude {
         Strategy, TemplateOptions,
     };
     pub use datareuse_core::{
-        assign_layers, explore_orders, explore_signal, footprint_levels,
-        footprint_levels_merged, max_reuse, partial_reuse, partial_sweep, CandidatePoint,
-        ExplorationReport, ExploreOptions, OrderChoice, PairGeometry, ReuseClass,
-        SignalExploration, SignalOptions,
+        explore_orders, explore_signal, footprint_levels, footprint_levels_merged, max_reuse,
+        partial_reuse, partial_sweep, CandidatePoint, ExplorationReport, ExploreOptions,
+        OrderChoice, PairGeometry, ReuseClass, SignalExploration,
     };
-    pub use datareuse_kernels::{
-        Conv2d, Downsample, Fir, MatMul, MotionCompensation, MotionEstimation, Sobel, Susan,
-    };
+    pub use datareuse_kernels::{Conv2d, Downsample, Fir, MatMul, MotionEstimation, Sobel, Susan};
     pub use datareuse_loopir::{
         parse_program, read_addresses, trace_array, AffineExpr, ArrayDecl, Loop, LoopNest,
         Program, TraceFilter,
     };
-    pub use datareuse_steps::{distribute_cycles, map_inplace, PortBudget};
     pub use datareuse_memmodel::{
         chain_breakdown, evaluate_chain, pareto_front, BitCount, CellPeriphery, ChainLevel,
         CopyChain, MemoryLibrary, MemoryTechnology, ParetoPoint,
     };
     pub use datareuse_trace::{
         distinct_count, fifo_simulate, lru_simulate, opt_simulate, opt_simulate_bypass,
-        opt_simulate_bypass_many, opt_simulate_many, working_set_profile, CurvePolicy,
-        ReuseCurve, StackDistances, TraceStats, WorkingSetProfile,
+        opt_simulate_bypass_many, opt_simulate_many, working_set_profile, CurvePolicy, ReuseCurve,
+        TraceStats, WorkingSetProfile,
     };
 }

@@ -1,5 +1,6 @@
 //! Drift guards between the code and the docs (`docs/SERVING.md`,
-//! `docs/OBSERVABILITY.md`, README.md and EXPERIMENTS.md).
+//! `docs/OBSERVABILITY.md`, `docs/ARCHITECTURE.md`, README.md,
+//! DESIGN.md and EXPERIMENTS.md).
 //!
 //! The operator runbook documents the wire protocol, the metrics
 //! surface, and the `query` exit codes. Each of those lives in code as
@@ -12,6 +13,7 @@
 //! the build, as does documenting an op or a serving flag that no
 //! longer exists.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
@@ -262,6 +264,44 @@ fn the_usage_text_and_observability_guide_cover_the_profiler() {
         assert!(
             doc.contains(needle),
             "docs/OBSERVABILITY.md does not mention `{needle}`"
+        );
+    }
+}
+
+/// The crate directories under `crates/`, by directory name.
+fn crate_dirs() -> BTreeSet<String> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
+    fs::read_dir(&root)
+        .unwrap_or_else(|e| panic!("read {}: {e}", root.display()))
+        .map(|entry| entry.expect("directory entry"))
+        .filter(|entry| entry.path().join("Cargo.toml").is_file())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// The crate names of a doc's crate table: each row opens with a
+/// backticked `prefix<name>` cell (`datareuse-core`, `crates/core`).
+fn crate_table_rows(doc: &str, prefix: &str) -> BTreeSet<String> {
+    let opener = format!("| `{prefix}");
+    doc.lines()
+        .filter_map(|line| line.strip_prefix(&opener))
+        .filter_map(|rest| rest.split('`').next())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn every_crate_table_lists_exactly_the_workspace_crates() {
+    let dirs = crate_dirs();
+    for (file, prefix) in [
+        ("README.md", "datareuse-"),
+        ("DESIGN.md", "crates/"),
+        ("docs/ARCHITECTURE.md", "datareuse-"),
+    ] {
+        assert_eq!(
+            crate_table_rows(&repo_file(file), prefix),
+            dirs,
+            "{file}'s crate table does not match the crates/ directories"
         );
     }
 }

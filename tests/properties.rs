@@ -16,7 +16,6 @@ use datareuse_proptest::{check, prop_assert, prop_assert_eq, Config, Rng};
 use datareuse::codegen::{run_schedule, verify_fig8_addressing, Strategy as CopyStrategy};
 use datareuse::model::{max_reuse, partial_sweep, PairGeometry};
 use datareuse::prelude::*;
-use datareuse::steps::{distribute_cycles, map_inplace, PortBudget};
 
 /// A random double nest `for j in 0..jr { for k in 0..kr { read A[b*j + c*k + off] } }`
 /// with the offset chosen so indices stay in bounds.
@@ -141,40 +140,6 @@ fn prop_fig8_addressing_is_collision_free(case: &(i64, i64, i64, i64)) -> Result
     Ok(())
 }
 
-/// Downstream DTSE steps stay consistent on arbitrary nests: the
-/// in-place size never exceeds the analytical `A` or the enlarged
-/// single-assignment buffer, and SCBD spreading never increases the
-/// cycle requirement.
-fn prop_downstream_steps_are_consistent(case: &(i64, i64, i64, i64)) -> Result<(), String> {
-    let Some(program) = double_nest_program(*case) else {
-        return Ok(());
-    };
-    let geom = PairGeometry::from_access(&program.nests()[0], 0, 0, 1).unwrap();
-    if let Some(point) = max_reuse(&geom) {
-        let inplace = map_inplace(&program, 0, 0, 0, 1, CopyStrategy::MaxReuse).unwrap();
-        prop_assert!(inplace.inplace_words <= inplace.analytical_words);
-        prop_assert!(
-            inplace.analytical_words <= inplace.single_assignment_words.max(point.size)
-        );
-        prop_assert_eq!(inplace.analytical_words, point.size);
-        let scbd = distribute_cycles(
-            &program,
-            0,
-            0,
-            0,
-            1,
-            CopyStrategy::MaxReuse,
-            PortBudget::default(),
-        )
-        .unwrap();
-        prop_assert!(scbd.cycles_required_spread <= scbd.cycles_required);
-        prop_assert!(
-            scbd.spread_fills_per_iteration <= scbd.peak_fills_per_outer_iteration.max(1)
-        );
-    }
-    Ok(())
-}
-
 /// The partial schedule executes with the predicted traffic for every
 /// valid γ.
 fn prop_partial_schedule_matches(case: &(i64, i64, i64, i64)) -> Result<(), String> {
@@ -246,16 +211,6 @@ fn fig8_addressing_is_collision_free_generally() {
 }
 
 #[test]
-fn downstream_steps_are_consistent() {
-    check(
-        "downstream_steps_are_consistent",
-        &Config::with_cases(96),
-        gen_double_nest,
-        prop_downstream_steps_are_consistent,
-    );
-}
-
-#[test]
 fn partial_schedule_matches() {
     check(
         "partial_schedule_matches",
@@ -263,6 +218,25 @@ fn partial_schedule_matches() {
         gen_double_nest,
         prop_partial_schedule_matches,
     );
+}
+
+/// LRU stack distance of every access, in Mattson's formulation: the
+/// 0-based depth of its address in the recency stack, `None` on first
+/// touch. An access hits an LRU buffer of capacity `c` iff its depth is
+/// below `c`.
+fn mattson_stack_depths(addrs: &[u64]) -> Vec<Option<usize>> {
+    let mut stack: Vec<u64> = Vec::new(); // most recent first
+    addrs
+        .iter()
+        .map(|&a| {
+            let depth = stack.iter().position(|&s| s == a);
+            if let Some(d) = depth {
+                stack.remove(d);
+            }
+            stack.insert(0, a);
+            depth
+        })
+        .collect()
 }
 
 /// One-pass Mattson stack distances equal direct LRU simulation at
@@ -277,10 +251,14 @@ fn simulators_agree() {
             if addrs.is_empty() {
                 return Ok(());
             }
-            let sd = StackDistances::compute(addrs);
+            let depths = mattson_stack_depths(addrs);
             for cap in [1u64, 2, 3, 5, 8, 13, 24] {
                 let lru = lru_simulate(addrs, cap);
-                prop_assert_eq!(sd.misses_at(cap), lru.misses());
+                let stack_misses = depths
+                    .iter()
+                    .filter(|d| d.is_none_or(|d| d as u64 >= cap))
+                    .count() as u64;
+                prop_assert_eq!(stack_misses, lru.misses());
                 let opt = opt_simulate(addrs, cap);
                 prop_assert!(opt.misses() <= lru.misses());
                 prop_assert!(opt.misses() <= fifo_simulate(addrs, cap).misses());
@@ -398,7 +376,6 @@ fn regression_degenerate_nest_c_zero() {
     prop_max_reuse_equals_belady(&case).unwrap();
     prop_schedule_realizes_the_closed_forms(&case).unwrap();
     prop_partial_points_are_consistent(&case).unwrap();
-    prop_downstream_steps_are_consistent(&case).unwrap();
     prop_partial_schedule_matches(&case).unwrap();
 }
 
@@ -418,6 +395,5 @@ fn regression_negative_coefficient_single_extent() {
     prop_max_reuse_equals_belady(&case).unwrap();
     prop_schedule_realizes_the_closed_forms(&case).unwrap();
     prop_partial_points_are_consistent(&case).unwrap();
-    prop_downstream_steps_are_consistent(&case).unwrap();
     prop_partial_schedule_matches(&case).unwrap();
 }

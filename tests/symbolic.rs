@@ -6,9 +6,8 @@
 //! its closed forms must agree *exactly* with the `footprint_levels`
 //! enumeration (same candidates, byte for byte) and with trace-derived
 //! ground truth (`C_tot` = trace length, footprint = distinct addresses,
-//! per-depth sizes = distinct addresses of the inner sub-nest), and every
-//! point of its miss curve must be feasible for Belady-optimal
-//! replacement. Any disagreement is either a symbolic bug or a simulator
+//! per-depth sizes = distinct addresses of the inner sub-nest). Any
+//! disagreement is either a symbolic bug or a simulator
 //! bug — both get fixed and pinned as a named `regression_*` test below.
 
 use datareuse_proptest::{check, prop_assert, prop_assert_eq, Config, Rng};
@@ -178,42 +177,6 @@ fn prop_depth_sizes_match_subnest_traces(case: &Case) -> Result<(), String> {
             case
         );
     }
-    Ok(())
-}
-
-/// Every miss-curve point is Belady-feasible and the reuse histogram
-/// conserves `C_tot`.
-fn prop_miss_curve_is_belady_feasible(case: &Case) -> Result<(), String> {
-    let Some(program) = nest_program(case) else {
-        return Ok(());
-    };
-    let Ok(profile) = symbolic_profile(&program.nests()[0], 0) else {
-        return Ok(());
-    };
-    let curve = profile.miss_curve();
-    for w in curve.windows(2) {
-        prop_assert!(
-            w[0].0 < w[1].0 && w[0].1 > w[1].1,
-            "curve not a strict staircase: {:?}",
-            curve
-        );
-    }
-    let trace = read_addresses(&program, "A");
-    for &(cap, fills) in &curve {
-        prop_assert!(fills >= profile.total_footprint());
-        let opt = opt_simulate(&trace, cap);
-        prop_assert!(
-            opt.fills <= fills,
-            "OPT {} beats symbolic {} at capacity {} for {:?}",
-            opt.fills,
-            fills,
-            cap,
-            case
-        );
-    }
-    let hist = profile.reuse_histogram();
-    prop_assert_eq!(hist.total(), profile.c_tot(), "leaky histogram for {:?}", case);
-    prop_assert_eq!(hist.compulsory, profile.total_footprint());
     Ok(())
 }
 
@@ -406,16 +369,6 @@ fn depth_sizes_match_subnest_traces() {
 }
 
 #[test]
-fn miss_curves_are_belady_feasible() {
-    check(
-        "miss_curves_are_belady_feasible",
-        &Config::with_cases(128),
-        gen_nest,
-        prop_miss_curve_is_belady_feasible,
-    );
-}
-
-#[test]
 fn guarded_nests_always_fall_back() {
     check(
         "guarded_nests_always_fall_back",
@@ -597,8 +550,8 @@ fn regression_zero_fill_reuse_factor_is_c_tot() {
 
 /// Boundary iterations: single-step carriers (`trip = 2`) with negative
 /// coefficients — the smallest geometries where consecutive-footprint
-/// overlap, normalization, and Belady agree only if every off-by-one is
-/// absent. All four properties must hold.
+/// overlap, normalization and the sub-nest traces agree only if every
+/// off-by-one is absent. All three properties must hold.
 #[test]
 fn regression_boundary_single_step_carriers() {
     for case in [
@@ -609,7 +562,6 @@ fn regression_boundary_single_step_carriers() {
     ] {
         prop_symbolic_matches_enumeration(&case).unwrap();
         prop_depth_sizes_match_subnest_traces(&case).unwrap();
-        prop_miss_curve_is_belady_feasible(&case).unwrap();
         prop_guarded_nests_always_fall_back(&case).unwrap();
     }
 }
@@ -627,7 +579,6 @@ fn regression_constant_index_is_a_single_hot_element() {
     let levels = profile.level_candidates();
     assert_eq!((levels[0].size, levels[0].fills), (1, 1));
     prop_symbolic_matches_enumeration(&case).unwrap();
-    prop_miss_curve_is_belady_feasible(&case).unwrap();
 }
 
 /// A separable guard over a nest whose executions exceed `u64` must
