@@ -35,7 +35,7 @@
 //!
 //! `--metrics FILE` enables the observability registry for the run and
 //! writes a `datareuse-metrics-v2` JSON snapshot (span timings, event
-//! counters, latency histograms, worker-load distribution) to FILE;
+//! counters, latency histograms) to FILE;
 //! `--progress` narrates the live counters to stderr once per second
 //! while the command runs. `serve` records metrics unconditionally (its
 //! `stats`/`prom` ops must have data to report); `--trace-out FILE`
@@ -55,7 +55,8 @@
 //! hierarchy — the `(c', b')` reuse vector, the eq. 1 `C_tot`/`C_R`/
 //! `F_R` terms, the eq. 2–3 cost terms, and the terminal verdict
 //! (`kept`, `bypass`, `pruned`, or `dominated-by <id>`). The report's
-//! `why` section is distilled from the same log.
+//! `why` section is rendered from the same typed verdicts, and the
+//! report prints the one front whose hierarchies the log records.
 //!
 //! `--cross-validate` replays the trace simulators as an independent
 //! oracle over the analytical (symbolic-first) result: the guard-aware
@@ -189,31 +190,95 @@ fn flush_stdout() -> Result<(), CliError> {
     std::io::stdout().flush().map_err(stdout_error)
 }
 
+/// A subcommand: its name, the flags its `cmd_*` function reads, and
+/// that function. A value flag takes the next argument as its operand
+/// unless that is another flag; a switch never takes one.
+struct Verb {
+    name: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+const fn verb(
+    name: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<(), CliError>,
+) -> Verb {
+    Verb {
+        name,
+        values,
+        switches,
+        run,
+    }
+}
+
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    verb("kernels", &[], &["json"], cmd_kernels),
+    verb("emit", &["expr"], &["rust"], cmd_emit),
+    verb(
+        "explore",
+        &["expr", "array", "depth", "gnuplot", "explain", "metrics", "profile-out"],
+        &["json", "simulate", "workingset", "cross-validate", "progress"],
+        cmd_explore,
+    ),
+    verb("orders", &["expr", "array", "limit"], &[], cmd_orders),
+    verb(
+        "report",
+        &["expr", "explain", "metrics", "profile-out"],
+        &["json", "progress"],
+        cmd_report,
+    ),
+    verb("curve", &["expr", "array", "sizes", "policy"], &[], cmd_curve),
+    verb(
+        "codegen",
+        &["expr", "array", "pair", "strategy", "band"],
+        &["selfcheck", "single-assignment", "adopt", "rust"],
+        cmd_codegen,
+    ),
+    verb(
+        "serve",
+        &[
+            "addr", "threads", "loops", "queue-depth", "cache-entries", "cache-snapshot",
+            "deadline-ms", "slo-p99-ms", "slo-hit-ratio", "slo-queue", "trace-out", "metrics",
+            "profile-out",
+        ],
+        &["progress"],
+        cmd_serve,
+    ),
+    verb("query", &["addr"], &[], cmd_query),
+    verb("top", &["addr", "interval-ms"], &["once", "ascii"], cmd_top),
+];
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Self {
+    /// Splits `argv` into positionals and `verb`'s flags. A flag the verb
+    /// does not read is a usage error naming it.
+    fn parse(verb: &Verb, argv: &[String]) -> Result<Self, CliError> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .map(|v| (*v).clone());
-                if value.is_some() {
-                    it.next();
-                }
-                flags.push((name.to_string(), value));
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 positional.push(a.clone());
-            }
+                continue;
+            };
+            let value = if verb.values.contains(&name) {
+                it.next_if(|v| !v.starts_with("--")).cloned()
+            } else if verb.switches.contains(&name) {
+                None
+            } else {
+                return Err(usage(format!("unknown flag `{a}` for `{}`", verb.name)));
+            };
+            flags.push((name.to_string(), value));
         }
-        Self { positional, flags }
+        Ok(Self { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
@@ -469,8 +534,10 @@ fn explain_sink(args: &Args) -> Result<Option<(String, datareuse_obs::Explain)>,
     }
 }
 
-/// Writes the accumulated audit log as NDJSON to `path`.
+/// Writes the accumulated audit log as NDJSON to `path`, under the same
+/// `render` span as the report it explains.
 fn write_explain(path: &str, sink: &datareuse_obs::Explain) -> Result<(), String> {
+    let _timer = datareuse_obs::span("render");
     std::fs::write(path, sink.to_ndjson())
         .map_err(|e| format!("cannot write explain log to `{path}`: {e}"))?;
     eprintln!("explain log ({} records) written to {path}", sink.len());
@@ -553,19 +620,13 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
     if args.has("cross-validate") {
         cross_validate(&program, &array, &ex)?;
     }
-    let tech = MemoryTechnology::new();
-    // The report builds its own (unexplained) front; when auditing, run
-    // the explained front once so the sink gets the chain records, then
-    // distill the report's `why` section from the same log.
-    if let Some(s) = sink {
-        ex.pareto_explained(&opts, &tech, &BitCount, Some(s));
-    }
-    let mut report = ExplorationReport::build(&ex, &opts, &tech, &BitCount);
-    if let Some(s) = sink {
-        report = report.with_why(s);
-    }
+    let report =
+        ExplorationReport::build_explained(&ex, &opts, &MemoryTechnology::new(), &BitCount, sink);
     if args.has("json") {
-        outln!("{}", report.to_json());
+        {
+            let _timer = datareuse_obs::span("render");
+            outln!("{}", report.to_json());
+        }
         if let Some((path, s)) = &explain {
             write_explain(path, s)?;
         }
@@ -602,13 +663,16 @@ fn cmd_explore(args: &Args) -> Result<(), CliError> {
         }
     }
     if let Some(path) = args.flag("gnuplot") {
-        let front = ex.pareto(&opts, &tech, &BitCount);
         let analytic: Vec<(f64, f64)> = ex
             .reuse_factor_points()
             .into_iter()
             .map(|(s, f)| (s as f64, f))
             .collect();
-        let pareto: Vec<(f64, f64)> = front.iter().map(|p| (p.size.max(1.0), p.power)).collect();
+        let pareto: Vec<(f64, f64)> = report
+            .pareto
+            .iter()
+            .map(|row| ((row.onchip_words as f64).max(1.0), row.normalized_power))
+            .collect();
         let script = gnuplot_script(
             &format!("Data reuse exploration: {array}"),
             "copy-candidate size [elements]",
@@ -638,27 +702,22 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
     let sink = explain.as_ref().map(|(_, s)| s);
     let explorations =
         explore_program_explained(&program, &opts, sink).map_err(|e| e.to_string())?;
-    // One sink serves all signals: `why_lines` filters by array, so each
-    // report distills only its own records.
-    let build = |ex: &datareuse_core::SignalExploration| {
-        if let Some(s) = sink {
-            ex.pareto_explained(&opts, &tech, &BitCount, Some(s));
-        }
-        let report = ExplorationReport::build(ex, &opts, &tech, &BitCount);
-        match sink {
-            Some(s) => report.with_why(s),
-            None => report,
-        }
-    };
+    // One sink serves all signals: each report appends its front's
+    // `chain` records after every signal's `candidate` records.
+    let reports: Vec<ExplorationReport> = explorations
+        .iter()
+        .map(|ex| ExplorationReport::build_explained(ex, &opts, &tech, &BitCount, sink))
+        .collect();
     if args.has("json") {
-        let docs: Vec<String> = explorations.iter().map(|ex| build(ex).to_json()).collect();
+        let _timer = datareuse_obs::span("render");
+        let docs: Vec<String> = reports.iter().map(ExplorationReport::to_json).collect();
         outln!("[{}]", docs.join(","));
     } else {
-        for (i, ex) in explorations.iter().enumerate() {
+        for (i, report) in reports.iter().enumerate() {
             if i > 0 {
                 outln!();
             }
-            out!("{}", build(ex));
+            out!("{report}");
         }
     }
     if let Some((path, s)) = &explain {
@@ -935,20 +994,11 @@ fn run() -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err(usage("missing command"));
     };
-    let args = Args::parse(&argv[1..]);
-    match cmd.as_str() {
-        "kernels" => cmd_kernels(&args),
-        "emit" => cmd_emit(&args),
-        "explore" => cmd_explore(&args),
-        "orders" => cmd_orders(&args),
-        "report" => cmd_report(&args),
-        "curve" => cmd_curve(&args),
-        "codegen" => cmd_codegen(&args),
-        "serve" => cmd_serve(&args),
-        "query" => cmd_query(&args),
-        "top" => cmd_top(&args),
-        other => Err(usage(format!("unknown command `{other}`"))),
-    }
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == cmd)
+        .ok_or_else(|| usage(format!("unknown command `{cmd}`")))?;
+    (verb.run)(&Args::parse(verb, &argv[1..])?)
 }
 
 fn cmd_top(args: &Args) -> Result<(), CliError> {
@@ -994,9 +1044,16 @@ mod tests {
         items.iter().map(|s| s.to_string()).collect()
     }
 
+    fn explore_args(items: &[&str]) -> Result<Args, CliError> {
+        let verb = VERBS.iter().find(|v| v.name == "explore").unwrap();
+        Args::parse(verb, &argv(items))
+    }
+
     #[test]
     fn args_separate_positionals_and_flags() {
-        let a = Args::parse(&argv(&["me", "--array", "Old", "--simulate", "--depth", "3"]));
+        let Ok(a) = explore_args(&["me", "--array", "Old", "--simulate", "--depth", "3"]) else {
+            panic!("explore reads all these flags");
+        };
         assert_eq!(a.positional, vec!["me"]);
         assert_eq!(a.flag("array"), Some("Old"));
         assert_eq!(a.flag("depth"), Some("3"));
@@ -1007,7 +1064,9 @@ mod tests {
 
     #[test]
     fn flags_do_not_swallow_following_flags() {
-        let a = Args::parse(&argv(&["--simulate", "--array", "Old"]));
+        let Ok(a) = explore_args(&["--simulate", "--array", "Old"]) else {
+            panic!("explore reads both flags");
+        };
         assert!(a.has("simulate"));
         assert_eq!(a.flag("array"), Some("Old"));
     }

@@ -362,21 +362,23 @@ fn explore_metrics_emits_valid_json_covering_the_pipeline() {
     let q = |name: &str| sim.get(name).and_then(Json::as_u64).unwrap();
     assert!(q("count") > 0, "simulator runs recorded");
     assert!(q("p50") <= q("p90") && q("p90") <= q("p99"), "percentiles ordered");
-    // Spans timed the exploration stages under the command's root span.
+    // Spans timed the exploration stages under the command's root span;
+    // the report's build holds its one Pareto front.
     let spans = doc.get("spans").and_then(Json::as_array).unwrap();
     let paths: Vec<&str> = spans
         .iter()
         .filter_map(|s| s.get("path").and_then(Json::as_str))
         .collect();
     assert!(paths.contains(&"run/explore"), "span paths: {paths:?}");
-    assert!(paths.contains(&"run/pareto"), "span paths: {paths:?}");
+    assert!(paths.contains(&"run/report/pareto"), "span paths: {paths:?}");
+    assert!(paths.contains(&"run/render"), "span paths: {paths:?}");
 }
 
 #[test]
 fn metrics_counters_are_thread_count_invariant() {
     // Counters count work, not scheduling: the order-preserving sweep must
     // produce identical counts at 1 and 8 workers. Timings (`spans`),
-    // `gauges`, and `load` legitimately differ and are excluded.
+    // `gauges`, and `hists` legitimately differ and are excluded.
     let mut counter_sections = Vec::new();
     for threads in ["1", "8"] {
         let path = temp_path(&format!("det_{threads}.json"));
@@ -669,4 +671,127 @@ fn explain_log_reproduces_the_papers_fir_numbers() {
     assert_eq!(field(max, "a"), c * (k - b) + b);
     let f_r = max.get("f_r").and_then(Json::as_f64).expect("f_r");
     assert!((f_r - 65536.0 / 1087.0).abs() < 1e-9, "F_RMax = {f_r}");
+}
+
+/// Compares `actual` with a committed fixture and names the first line
+/// that differs, so a drift points at the record or report row it hit.
+fn assert_matches_fixture(actual: &str, fixture: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/explain")
+        .join(fixture);
+    let expected = std::fs::read_to_string(&path).expect("fixture readable");
+    if actual == expected {
+        return;
+    }
+    let mut want = expected.lines();
+    let mut got = actual.lines();
+    for line in 1.. {
+        match (want.next(), got.next()) {
+            (Some(w), Some(g)) if w == g => continue,
+            (None, None) => panic!("{fixture}: only line endings differ"),
+            (w, g) => panic!(
+                "{fixture}: first difference at line {line}\n  expected: {}\n  actual:   {}",
+                w.unwrap_or("<end of fixture>"),
+                g.unwrap_or("<end of output>"),
+            ),
+        }
+    }
+}
+
+#[test]
+fn explain_outputs_match_the_pinned_fixtures() {
+    // `explore susan` is one signal over seven access groups; `report me`
+    // explores two signals through one sink, so their records interleave.
+    let cases: [(&[&str], &str, &str); 3] = [
+        (
+            &["explore", "susan"],
+            "explore-susan.txt",
+            "explore-susan.ndjson",
+        ),
+        (
+            &["explore", "susan", "--json"],
+            "explore-susan.json",
+            "explore-susan.ndjson",
+        ),
+        (&["report", "me"], "report-me.txt", "report-me.ndjson"),
+    ];
+    for (i, (args, stdout_fixture, log_fixture)) in cases.into_iter().enumerate() {
+        let log = temp_path(&format!("fixture_{i}.ndjson"));
+        let mut argv = args.to_vec();
+        argv.extend(["--explain", log.to_str().unwrap()]);
+        let (ok, stdout, stderr) = datareuse(&argv);
+        assert!(ok, "{args:?}: {stderr}");
+        let text = std::fs::read_to_string(&log).expect("explain log written");
+        std::fs::remove_file(&log).ok();
+        assert_matches_fixture(&stdout, stdout_fixture);
+        assert_matches_fixture(&text, log_fixture);
+    }
+}
+
+#[test]
+fn a_switch_never_consumes_the_kernel_operand() {
+    let (ok, before, stderr) = datareuse(&["explore", "--json", "fir"]);
+    assert!(ok, "{stderr}");
+    let (ok, after, stderr) = datareuse(&["explore", "fir", "--json"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(before, after);
+}
+
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    let (code, stderr) = exit_code_of(&["explore", "fir", "--jsonx", "--arry", "x"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag `--jsonx` for `explore`"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: datareuse"), "{stderr}");
+}
+
+/// `(verb, flags)` for every subcommand section of the usage summary;
+/// verbs taking a `<kernel>` also accept the footnote's `--expr`.
+fn usage_flags(usage: &str) -> Vec<(String, Vec<String>)> {
+    let mut verbs: Vec<(String, Vec<String>)> = Vec::new();
+    for line in usage.lines() {
+        let Some(body) = line.strip_prefix("  ") else {
+            continue;
+        };
+        if !body.starts_with(' ') {
+            let verb = body.split_whitespace().next().unwrap().to_string();
+            verbs.push((verb, Vec::new()));
+        }
+        let Some((_, flags)) = verbs.last_mut() else {
+            continue;
+        };
+        if body.contains("<kernel>") {
+            flags.push("--expr".to_string());
+        }
+        for token in body.split(|c: char| c.is_whitespace() || c == '[' || c == ']') {
+            if token.starts_with("--") && token.len() > 2 {
+                flags.push(token.to_string());
+            }
+        }
+    }
+    verbs
+}
+
+#[test]
+fn every_flag_in_the_usage_summary_is_accepted() {
+    let (code, usage) = exit_code_of(&[]);
+    assert_eq!(code, Some(2), "{usage}");
+    let verbs = usage_flags(&usage);
+    assert_eq!(verbs.len(), 10, "{verbs:?}");
+    for (verb, flags) in &verbs {
+        assert!(!flags.is_empty(), "`{verb}` lists no flags");
+        for flag in flags {
+            // An accepted flag lets parsing reach the sentinel after it;
+            // nothing runs, since the sentinel is refused first.
+            let (code, stderr) = exit_code_of(&[verb, flag, "--no-such-flag"]);
+            assert_eq!(code, Some(2), "{verb} {flag}: {stderr}");
+            assert!(
+                stderr.contains("unknown flag `--no-such-flag`"),
+                "`{verb}` refuses `{flag}`: {stderr}"
+            );
+        }
+    }
 }

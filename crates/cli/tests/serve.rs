@@ -28,7 +28,12 @@ struct ServerProc {
 
 impl ServerProc {
     fn spawn(extra: &[&str]) -> ServerProc {
-        Self::spawn_inner(extra, Stdio::null()).0
+        Self::spawn_inner(extra, &[], Stdio::null()).0
+    }
+
+    /// Spawns with extra environment variables set for the daemon.
+    fn spawn_with_env(extra: &[&str], env: &[(&str, &str)]) -> ServerProc {
+        Self::spawn_inner(extra, env, Stdio::null()).0
     }
 
     /// Spawns with stderr piped so a test can assert on the snapshot
@@ -36,17 +41,19 @@ impl ServerProc {
     /// writes a few short lines, far below the pipe buffer, so the
     /// daemon never blocks on it.
     fn spawn_capturing_stderr(extra: &[&str]) -> (ServerProc, std::process::ChildStderr) {
-        let (server, stderr) = Self::spawn_inner(extra, Stdio::piped());
+        let (server, stderr) = Self::spawn_inner(extra, &[], Stdio::piped());
         (server, stderr.expect("stderr piped"))
     }
 
     fn spawn_inner(
         extra: &[&str],
+        env: &[(&str, &str)],
         stderr: Stdio,
     ) -> (ServerProc, Option<std::process::ChildStderr>) {
         let mut child = Command::new(env!("CARGO_BIN_EXE_datareuse"))
             .args(["serve", "--addr", "127.0.0.1:0"])
             .args(extra)
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(stderr)
             .spawn()
@@ -479,6 +486,46 @@ fn stats_derives_ratios_prom_scrapes_and_the_flight_recorder_replays() {
     assert!(text.contains("datareuse_serve_requests "), "{text}");
     assert!(text.contains("datareuse_serve_cache_hits "), "{text}");
     assert!(text.contains("_bucket{le="), "{text}");
+    server.shutdown();
+}
+
+#[test]
+fn the_stats_reply_does_not_grow_with_the_request_count() {
+    // Every explore below computes (each expression is distinct) and fans
+    // its pair sweep and chain costing out to two workers. A registry
+    // that keeps a record per fan-out or per request makes each `stats`
+    // reply longer than the last; a bounded one grows only by counter
+    // digits and the odd new histogram bucket.
+    let server = ServerProc::spawn_with_env(&["--threads", "1"], &[("DATAREUSE_THREADS", "2")]);
+    let stream = TcpStream::connect(&server.addr).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut sent = 0u32;
+    let mut stats_len_after = |requests: u32| {
+        let mut line = String::new();
+        for _ in 0..requests {
+            sent += 1;
+            let extent = 20 + sent;
+            // One write per request line: split writes stall on Nagle.
+            let request = format!(
+                "{{\"op\":\"explore\",\"kernel\":\"B[i] += A[i+j+k] ~ i j k where i={extent}, j=4, k=3\"}}\n"
+            );
+            writer.write_all(request.as_bytes()).unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(r#""ok":true"#), "{line}");
+        }
+        writer.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        line.len()
+    };
+    let warm = stats_len_after(40);
+    let later = stats_len_after(200);
+    assert!(
+        later < warm + 2 * 200,
+        "stats reply grew from {warm} to {later} bytes over 200 requests"
+    );
     server.shutdown();
 }
 

@@ -2,8 +2,8 @@
 //! this copy-candidate?").
 //!
 //! When an [`Explain`] sink is passed to
-//! [`explore_signal_explained`](crate::explore_signal_explained) or
-//! [`SignalExploration::pareto_explained`](crate::SignalExploration::pareto_explained),
+//! [`explore_signal_explained`](crate::explore_signal_explained) and
+//! [`ExplorationReport::build_explained`](crate::ExplorationReport::build_explained),
 //! every candidate and every evaluated hierarchy gets one NDJSON record
 //! carrying the paper's cost terms — the `(c', b')` reuse vector, `C_tot`,
 //! `C_R`, `F_R`, `A` for candidates (eq. 12–22) and the eq. 2–3 power/area
@@ -25,6 +25,7 @@
 use datareuse_memmodel::{ChainCost, CopyChain, ParetoVerdict};
 use datareuse_obs::{Explain, Json};
 
+use crate::explore::SignalExploration;
 use crate::levels::{CandidatePoint, CandidateSource, CandidateVerdict};
 use crate::pairwise::PairGeometry;
 use crate::partial::gamma_interval;
@@ -36,7 +37,7 @@ use crate::vectors::ReuseClass;
 /// attached to every candidate the pair produced. Footprint and simulated
 /// candidates have no pair geometry (`vector: null` in the record).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairVector {
+pub(crate) struct PairVector {
     /// Elements consumed per `j` iteration (`c'`).
     pub c_prime: i64,
     /// Reuse distance in `k` iterations (`b'`).
@@ -55,7 +56,7 @@ pub struct PairVector {
 impl PairVector {
     /// Extracts the vector from a pair geometry; `None` when the pair
     /// carries no reuse at all.
-    pub fn from_geometry(geom: &PairGeometry) -> Option<Self> {
+    pub(crate) fn from_geometry(geom: &PairGeometry) -> Option<Self> {
         match geom.class {
             ReuseClass::Vector { bp, cp, anti } => Some(Self {
                 c_prime: cp,
@@ -117,7 +118,7 @@ fn source_json(source: CandidateSource) -> Json {
 /// access group of `array` in nest `nest` — the symbolic closed forms
 /// (with the profile's headline numbers) or the enumeration fallback
 /// (with the first violated conforming-class condition as `reason`).
-pub fn symbolic_record(
+pub(crate) fn symbolic_record(
     array: &str,
     nest: usize,
     merged: bool,
@@ -148,15 +149,21 @@ pub fn symbolic_record(
 
 /// One `candidate` audit record. `id` is the candidate's index in the
 /// offered pool, which is what `dominated-by` verdicts refer to.
-pub fn candidate_record(
+fn candidate_record(
     array: &str,
     id: usize,
     c: &CandidatePoint,
     vector: Option<PairVector>,
     verdict: CandidateVerdict,
 ) -> Json {
-    // C_R = C_tot − C_j − bypasses: the reads the candidate absorbs.
-    let c_r = c.c_tot - c.fills - c.bypasses;
+    // C_R = C_tot − C_j − bypasses: the reads the candidate absorbs. An
+    // approximate point can claim more upstream traffic than C_tot; its
+    // C_R is then negative, and the dedupe prunes it as useless.
+    let upstream = c.fills + c.bypasses;
+    let c_r = match c.c_tot.checked_sub(upstream) {
+        Some(absorbed) => Json::UInt(absorbed),
+        None => i64::try_from(upstream - c.c_tot).map_or(Json::Null, |excess| Json::Int(-excess)),
+    };
     Json::obj([
         ("record", Json::str("candidate")),
         ("array", Json::str(array)),
@@ -166,7 +173,7 @@ pub fn candidate_record(
         ("fills", Json::UInt(c.fills)),
         ("bypasses", Json::UInt(c.bypasses)),
         ("c_tot", Json::UInt(c.c_tot)),
-        ("c_r", Json::UInt(c_r)),
+        ("c_r", c_r),
         ("f_r", Json::Num(c.reuse_factor())),
         ("a", Json::UInt(c.size)),
         ("exact", Json::Bool(c.exact)),
@@ -177,7 +184,7 @@ pub fn candidate_record(
 
 /// One `chain` audit record with the evaluated eq. 2–3 cost terms. `id`
 /// is the chain's index in the enumeration order.
-pub fn chain_record(
+fn chain_record(
     array: &str,
     id: usize,
     chain: &CopyChain,
@@ -205,39 +212,41 @@ pub fn chain_record(
     Json::Obj(entries)
 }
 
-/// Emits one record per offered candidate plus the `candidate-summary`
-/// tally. `pool`, `annots` (empty allowed), and `verdicts` are parallel.
-pub fn emit_candidate_records(
-    sink: &Explain,
-    array: &str,
-    c_tot: u64,
-    background_words: u64,
-    pool: &[CandidatePoint],
-    annots: &[Option<PairVector>],
-    verdicts: &[CandidateVerdict],
-) {
-    let mut kept = 0u64;
-    let mut bypass = 0u64;
-    let mut pruned = 0u64;
-    let mut dominated = 0u64;
-    let mut lines = Vec::with_capacity(pool.len() + 1);
-    for (id, (c, verdict)) in pool.iter().zip(verdicts).enumerate() {
-        match verdict {
-            CandidateVerdict::Kept => kept += 1,
-            CandidateVerdict::Bypass => bypass += 1,
-            CandidateVerdict::Pruned => pruned += 1,
-            CandidateVerdict::DominatedBy(_) => dominated += 1,
-        }
-        let vector = annots.get(id).copied().flatten();
-        lines.push(candidate_record(array, id, c, vector, *verdict).to_string());
+/// The `[kept, bypass, pruned, dominated]` tallies of `verdicts`.
+fn tally(verdicts: &[CandidateVerdict]) -> [u64; 4] {
+    let mut counts = [0u64; 4];
+    for verdict in verdicts {
+        counts[match verdict {
+            CandidateVerdict::Kept => 0,
+            CandidateVerdict::Bypass => 1,
+            CandidateVerdict::Pruned => 2,
+            CandidateVerdict::DominatedBy(_) => 3,
+        }] += 1;
     }
+    counts
+}
+
+/// Emits one record per offered candidate of `ex` plus the
+/// `candidate-summary` tally. `annots` (empty allowed) is parallel to
+/// `ex.offered`.
+pub(crate) fn emit_candidate_records(
+    sink: &Explain,
+    ex: &SignalExploration,
+    annots: &[Option<PairVector>],
+) {
+    let mut lines = Vec::with_capacity(ex.offered.len() + 1);
+    for (id, (c, verdict)) in ex.offered.iter().zip(&ex.verdicts).enumerate() {
+        let vector = annots.get(id).copied().flatten();
+        lines.push(candidate_record(&ex.array, id, c, vector, *verdict).to_string());
+    }
+    let [kept, bypass, pruned, dominated] = tally(&ex.verdicts);
     lines.push(
         Json::obj([
             ("record", Json::str("candidate-summary")),
-            ("array", Json::str(array)),
-            ("c_tot", Json::UInt(c_tot)),
-            ("background_words", Json::UInt(background_words)),
-            ("offered", Json::UInt(pool.len() as u64)),
+            ("array", Json::str(&ex.array)),
+            ("c_tot", Json::UInt(ex.c_tot)),
+            ("background_words", Json::UInt(ex.background_words)),
+            ("offered", Json::UInt(ex.offered.len() as u64)),
             ("kept", Json::UInt(kept)),
             ("bypass", Json::UInt(bypass)),
             ("pruned", Json::UInt(pruned)),
@@ -249,134 +258,83 @@ pub fn emit_candidate_records(
 }
 
 /// Emits one record per evaluated hierarchy plus the `chain-summary`.
-pub fn emit_chain_records(
+pub(crate) fn emit_chain_records(
     sink: &Explain,
     array: &str,
     chains: &[(CopyChain, ChainCost)],
     verdicts: &[ParetoVerdict],
 ) {
     let mut lines = Vec::with_capacity(chains.len() + 1);
-    let mut front = 0u64;
     for (id, ((chain, cost), verdict)) in chains.iter().zip(verdicts).enumerate() {
-        if *verdict == ParetoVerdict::Kept {
-            front += 1;
-        }
         lines.push(chain_record(array, id, chain, cost, *verdict).to_string());
     }
+    let front = verdicts
+        .iter()
+        .filter(|v| **v == ParetoVerdict::Kept)
+        .count();
     lines.push(
         Json::obj([
             ("record", Json::str("chain-summary")),
             ("array", Json::str(array)),
             ("chains", Json::UInt(chains.len() as u64)),
-            ("front", Json::UInt(front)),
+            ("front", Json::UInt(front as u64)),
         ])
         .to_string(),
     );
     sink.emit_lines(lines);
 }
 
-fn source_from_json(source: &Json) -> Option<CandidateSource> {
-    let depth = || {
-        source
-            .get("depth_from_inner")
-            .and_then(Json::as_u64)
-            .map(|d| d as usize)
-    };
-    match source.get("kind").and_then(Json::as_str)? {
-        "footprint" => Some(CandidateSource::Footprint {
-            depth_from_inner: depth()?,
-        }),
-        "merged-footprint" => Some(CandidateSource::MergedFootprint {
-            depth_from_inner: depth()?,
-        }),
-        "pair-max" => Some(CandidateSource::PairMax),
-        "pair-partial" => Some(CandidateSource::PairPartial {
-            gamma: source.get("gamma").and_then(Json::as_f64)? as i64,
-            bypass: source.get("bypass").and_then(Json::as_bool)?,
-        }),
-        "simulated" => Some(CandidateSource::Simulated),
-        _ => None,
+/// The report's "why" lines for the candidates of `ex`: one per
+/// surviving candidate in offer order, then the verdict tallies.
+pub(crate) fn candidate_why(ex: &SignalExploration) -> Vec<String> {
+    let mut out = Vec::new();
+    for (c, verdict) in ex.offered.iter().zip(&ex.verdicts) {
+        if matches!(verdict, CandidateVerdict::Kept | CandidateVerdict::Bypass) {
+            out.push(format!(
+                "{verdict}: {} elements ({}) — F_R = {:.2}, \
+                 fills {} + bypass {} of {} reads",
+                c.size,
+                describe_source(c.source),
+                c.reuse_factor(),
+                c.fills,
+                c.bypasses,
+                c.c_tot,
+            ));
+        }
     }
+    let [kept, bypass, pruned, dominated] = tally(&ex.verdicts);
+    out.push(format!(
+        "candidates: {} offered → {} kept ({bypass} bypassing), \
+         {dominated} dominated, {pruned} pruned as useless",
+        ex.offered.len(),
+        kept + bypass,
+    ));
+    out
 }
 
-/// Renders the audit records of one signal as human "why" lines for the
-/// report: one line per surviving candidate and per Pareto-front
-/// hierarchy, plus the verdict tallies. Unparseable or foreign-array
-/// lines are skipped.
-pub fn why_lines(records: &[String], array: &str) -> Vec<String> {
+/// The report's "why" lines for the evaluated hierarchies: one per
+/// Pareto-front chain in enumeration order, then the front tally.
+pub(crate) fn chain_why(
+    chains: &[(CopyChain, ChainCost)],
+    verdicts: &[ParetoVerdict],
+) -> Vec<String> {
     let mut out = Vec::new();
-    for line in records {
-        let Ok(doc) = Json::parse(line) else {
-            continue;
-        };
-        if doc.get("array").and_then(Json::as_str) != Some(array) {
-            continue;
-        }
-        match doc.get("record").and_then(Json::as_str) {
-            Some("candidate") => {
-                let verdict = doc.get("verdict").and_then(Json::as_str).unwrap_or("");
-                if verdict != "kept" && verdict != "bypass" {
-                    continue;
-                }
-                let label = doc
-                    .get("source")
-                    .and_then(source_from_json)
-                    .map_or_else(|| "candidate".to_string(), describe_source);
-                let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-                let f_r = doc.get("f_r").and_then(Json::as_f64).unwrap_or(0.0);
-                out.push(format!(
-                    "{verdict}: {} elements ({label}) — F_R = {f_r:.2}, \
-                     fills {} + bypass {} of {} reads",
-                    num("a"),
-                    num("fills"),
-                    num("bypasses"),
-                    num("c_tot"),
-                ));
-            }
-            Some("candidate-summary") => {
-                let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-                out.push(format!(
-                    "candidates: {} offered → {} kept ({} bypassing), \
-                     {} dominated, {} pruned as useless",
-                    num("offered"),
-                    num("kept") + num("bypass"),
-                    num("bypass"),
-                    num("dominated"),
-                    num("pruned"),
-                ));
-            }
-            Some("chain") => {
-                if doc.get("verdict").and_then(Json::as_str) != Some("kept") {
-                    continue;
-                }
-                let sizes: Vec<String> = doc
-                    .get("levels")
-                    .and_then(Json::as_array)
-                    .map(|ls| {
-                        ls.iter()
-                            .filter_map(|l| l.get("words").and_then(Json::as_u64))
-                            .map(|w| w.to_string())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                out.push(format!(
-                    "front: [{}] — normalized power {:.4}, {} words on-chip",
-                    sizes.join(" > "),
-                    doc.get("normalized_energy").and_then(Json::as_f64).unwrap_or(0.0),
-                    doc.get("onchip_words").and_then(Json::as_u64).unwrap_or(0),
-                ));
-            }
-            Some("chain-summary") => {
-                let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-                out.push(format!(
-                    "hierarchies: {} evaluated → {} on the Pareto front",
-                    num("chains"),
-                    num("front"),
-                ));
-            }
-            _ => {}
+    for ((chain, cost), verdict) in chains.iter().zip(verdicts) {
+        if *verdict == ParetoVerdict::Kept {
+            let sizes: Vec<String> = chain.levels.iter().map(|l| l.words.to_string()).collect();
+            out.push(format!(
+                "front: [{}] — normalized power {:.4}, {} words on-chip",
+                sizes.join(" > "),
+                cost.normalized_energy,
+                cost.onchip_words,
+            ));
         }
     }
+    let front = out.len();
+    out.push(format!(
+        "hierarchies: {} evaluated → {front} on the Pareto front",
+        chains.len(),
+    ));
     out
 }
 
@@ -414,31 +372,16 @@ mod tests {
         assert_eq!(v.get("c_prime").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("gamma_sup").and_then(Json::as_u64), Some(63));
         assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("kept"));
-        // Round-trip: the structured source reconstructs the enum.
         assert_eq!(
-            doc.get("source").and_then(source_from_json),
-            Some(CandidateSource::PairMax)
+            doc.get("source")
+                .and_then(|s| s.get("kind"))
+                .and_then(Json::as_str),
+            Some("pair-max")
         );
     }
 
     #[test]
-    fn structured_sources_round_trip() {
-        let all = [
-            CandidateSource::Footprint { depth_from_inner: 1 },
-            CandidateSource::MergedFootprint { depth_from_inner: 2 },
-            CandidateSource::PairMax,
-            CandidateSource::PairPartial { gamma: 3, bypass: false },
-            CandidateSource::PairPartial { gamma: 5, bypass: true },
-            CandidateSource::Simulated,
-        ];
-        for s in all {
-            assert_eq!(source_from_json(&source_json(s)), Some(s));
-        }
-    }
-
-    #[test]
     fn why_lines_pick_survivors_and_tallies() {
-        let sink = Explain::new();
         let c = CandidatePoint {
             size: 9,
             fills: 10,
@@ -447,20 +390,30 @@ mod tests {
             source: CandidateSource::PairMax,
             exact: true,
         };
-        emit_candidate_records(
-            &sink,
-            "A",
-            128,
-            23,
-            &[c],
-            &[],
-            &[CandidateVerdict::Kept],
-        );
-        let lines = why_lines(&sink.records(), "A");
+        let ex = SignalExploration {
+            array: "A".into(),
+            bits: 8,
+            background_words: 23,
+            c_tot: 128,
+            groups: Vec::new(),
+            candidates: vec![c],
+            offered: vec![c, CandidatePoint { fills: 128, ..c }],
+            verdicts: vec![CandidateVerdict::Kept, CandidateVerdict::Pruned],
+        };
+        let lines = candidate_why(&ex);
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("kept: 9 elements (pairwise maximum reuse)"));
-        assert!(lines[1].contains("1 offered → 1 kept"));
-        // Foreign arrays are filtered out.
-        assert!(why_lines(&sink.records(), "B").is_empty());
+        assert_eq!(
+            lines[0],
+            "kept: 9 elements (pairwise maximum reuse) — F_R = 12.80, \
+             fills 10 + bypass 0 of 128 reads"
+        );
+        assert_eq!(
+            lines[1],
+            "candidates: 2 offered → 1 kept (0 bypassing), 0 dominated, 1 pruned as useless"
+        );
+        // The sink gets one record per offered candidate plus the tally.
+        let sink = Explain::new();
+        emit_candidate_records(&sink, &ex, &[]);
+        assert_eq!(sink.len(), 3);
     }
 }

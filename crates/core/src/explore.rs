@@ -17,14 +17,16 @@ use datareuse_memmodel::{
 use datareuse_obs::{add, span, Counter, Explain};
 
 use crate::error::AnalyzeError;
-use crate::explain::{emit_candidate_records, emit_chain_records, symbolic_record, PairVector};
+use crate::explain::{
+    chain_why, emit_candidate_records, emit_chain_records, symbolic_record, PairVector,
+};
 use crate::footprint::{footprint_levels, footprint_levels_merged, group_members, guarded_count};
-use crate::symbolic::{symbolic_profile, SymbolicFallback, SymbolicProfile};
 use crate::levels::{
-    dedupe_candidates, dedupe_candidates_explained, enumerate_chains, CandidatePoint,
+    dedupe_candidates_explained, enumerate_chains, CandidatePoint, CandidateVerdict,
 };
 use crate::pairwise::{max_reuse, PairGeometry};
 use crate::partial::partial_sweep;
+use crate::symbolic::{symbolic_profile, SymbolicFallback, SymbolicProfile};
 
 /// The per-reason counter behind the aggregate `sim_fallbacks`: each
 /// fallback bumps both, so the per-reason breakdown always sums to
@@ -100,6 +102,13 @@ pub struct SignalExploration {
     pub groups: Vec<AccessGroup>,
     /// Signal-level candidates (combined across groups, deduplicated).
     pub candidates: Vec<CandidatePoint>,
+    /// Every candidate offered to the signal's one dedupe, in offer
+    /// order: the `candidate` audit records' ids index this list.
+    pub offered: Vec<CandidatePoint>,
+    /// The dedupe's verdict on each offered candidate, parallel to
+    /// `offered`. The audit records and the report's `why` section are
+    /// rendered from these two lists.
+    pub verdicts: Vec<CandidateVerdict>,
 }
 
 /// The pairwise max/partial/bypass points (eq. 12–22) of every access
@@ -379,29 +388,21 @@ pub fn explore_signal_explained(
     // is transitive, so dropping a point early or late never changes the
     // survivor set or the pruned-counter total — and it gives every
     // offered candidate exactly one verdict against pool-wide ids.
-    let candidates = if let Some(sink) = explain {
-        let (kept, verdicts) = dedupe_candidates_explained(&pool);
-        emit_candidate_records(
-            sink,
-            array,
-            c_tot,
-            decl.len(),
-            &pool,
-            &pool_annots,
-            &verdicts,
-        );
-        kept
-    } else {
-        dedupe_candidates(pool)
-    };
-    Ok(SignalExploration {
+    let (candidates, verdicts) = dedupe_candidates_explained(&pool);
+    let ex = SignalExploration {
         array: array.to_string(),
         bits: decl.elem_bits(),
         background_words: decl.len(),
         c_tot,
         groups,
         candidates,
-    })
+        offered: pool,
+        verdicts,
+    };
+    if let Some(sink) = explain {
+        emit_candidate_records(sink, &ex, &pool_annots);
+    }
+    Ok(ex)
 }
 
 /// Combines per-group candidates into one signal-level pool, *without*
@@ -483,20 +484,21 @@ impl SignalExploration {
         tech: &MemoryTechnology,
         area: &(impl AreaModel + Sync),
     ) -> Vec<ParetoPoint<(CopyChain, ChainCost)>> {
-        self.pareto_explained(opts, tech, area, None)
+        self.pareto_explained(opts, tech, area, None).0
     }
 
     /// [`SignalExploration::pareto`] with an optional audit sink: when
     /// `explain` is `Some`, every enumerated hierarchy gets one `chain`
-    /// NDJSON record with its eq. 2–3 cost terms and its Pareto verdict.
-    /// The front is identical either way.
-    pub fn pareto_explained(
+    /// NDJSON record with its eq. 2–3 cost terms and its Pareto verdict,
+    /// and the second list holds the report's `why` lines for them
+    /// (empty without a sink). The front is identical either way.
+    pub(crate) fn pareto_explained(
         &self,
         opts: &ExploreOptions,
         tech: &MemoryTechnology,
         area: &(impl AreaModel + Sync),
         explain: Option<&Explain>,
-    ) -> Vec<ParetoPoint<(CopyChain, ChainCost)>> {
+    ) -> (Vec<ParetoPoint<(CopyChain, ChainCost)>>, Vec<String>) {
         let _timer = span("pareto");
         let threads = crate::par::resolve_threads(opts.threads);
         let points = crate::par::parallel_map(threads, self.chains(opts), |chain| {
@@ -504,7 +506,7 @@ impl SignalExploration {
             ParetoPoint::new(cost.onchip_words as f64, cost.normalized_energy, (chain, cost))
         });
         let Some(sink) = explain else {
-            return pareto_front(points);
+            return (pareto_front(points), Vec::new());
         };
         // Record every evaluated chain in enumeration order; the clone
         // only happens on the audited path.
@@ -512,7 +514,7 @@ impl SignalExploration {
             points.iter().map(|p| p.payload.clone()).collect();
         let (front, verdicts) = pareto_front_explained(points);
         emit_chain_records(sink, &self.array, &inputs, &verdicts);
-        front
+        (front, chain_why(&inputs, &verdicts))
     }
 
     /// The `(size, F_R)` pairs of all signal candidates, sorted by size —

@@ -55,10 +55,6 @@ mod symbolic;
 mod vectors;
 
 pub use error::AnalyzeError;
-pub use explain::{
-    candidate_record, chain_record, emit_candidate_records, emit_chain_records, symbolic_record,
-    why_lines, PairVector,
-};
 pub use explore::{
     explore_program, explore_program_explained, explore_signal, explore_signal_explained,
     AccessGroup, ExploreOptions, SignalExploration,

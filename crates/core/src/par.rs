@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use datareuse_obs::{
-    add, credit_thread_alloc_bytes, gauge_max, metrics_enabled, record_hist, record_worker_items,
-    thread_alloc_bytes, Counter, Gauge, Hist, TraceCtx,
+    add, credit_thread_alloc_bytes, gauge_max, metrics_enabled, record_hist, thread_alloc_bytes,
+    Counter, Gauge, Hist, TraceCtx,
 };
 
 /// Resolves the worker-thread count for a sweep.
@@ -149,7 +149,6 @@ where
             s.spawn(|| {
                 let _attach = ctx.map(TraceCtx::attach);
                 let bytes_at_start = observed.then(thread_alloc_bytes);
-                let mut processed = 0u64;
                 loop {
                     let next = queue.lock().expect("work queue poisoned").next();
                     let Some((index, item)) = next else { break };
@@ -159,10 +158,8 @@ where
                         record_hist(Hist::ExploreChunk, started.elapsed().as_nanos() as u64);
                     }
                     done.lock().expect("result sink poisoned").push((index, result));
-                    processed += 1;
                 }
                 if let Some(start) = bytes_at_start {
-                    record_worker_items(processed);
                     let bytes = thread_alloc_bytes().saturating_sub(start);
                     worker_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }

@@ -1,9 +1,13 @@
 //! Human-readable and machine-readable exploration reports.
 //!
 //! The paper's prototype tool prints curves and templates for the
-//! designer; [`ExplorationReport`] is the equivalent structured summary,
-//! rendered by `Display` as an aligned text report and by
-//! [`ExplorationReport::to_json`] as JSON.
+//! designer; [`ExplorationReport`] is the equivalent structured summary.
+//! It holds typed values — the signal's copy-candidates and its Pareto
+//! front, built once — and every output renders from them: `Display` as
+//! an aligned text report, [`ExplorationReport::to_json_value`] as the
+//! JSON the served ops return, and [`ExplorationReport::to_json`] as its
+//! one-line text. Building runs under a `report` span, and `Display`
+//! and `to_json_value` under a `render` span.
 //!
 //! The workspace is hermetic (standard library only, no crates.io), so
 //! JSON is emitted through the small hand-rolled [`Json`] value from the
@@ -15,9 +19,11 @@
 use std::fmt;
 
 use datareuse_memmodel::{chain_breakdown, AreaModel, MemoryTechnology};
+use datareuse_obs::{span, Explain};
 
+use crate::explain::candidate_why;
 use crate::explore::{ExploreOptions, SignalExploration};
-use crate::levels::CandidateSource;
+use crate::levels::{CandidatePoint, CandidateSource};
 
 pub use datareuse_obs::{Json, JsonParseError};
 
@@ -43,12 +49,14 @@ pub struct ExplorationReport {
     pub c_tot: u64,
     /// Background footprint in elements.
     pub background_words: u64,
-    /// `(label, size, reuse factor, exact)` per candidate.
-    pub candidates: Vec<(String, u64, f64, bool)>,
+    /// The signal's copy-candidates, largest first.
+    pub candidates: Vec<CandidatePoint>,
     /// The Pareto-front hierarchies, smallest first.
     pub pareto: Vec<HierarchyRow>,
-    /// Human "why" lines distilled from the exploration audit log
-    /// (empty unless populated via [`ExplorationReport::with_why`]).
+    /// Human "why" lines: one per surviving candidate in offer order and
+    /// per front hierarchy in enumeration order, each list followed by
+    /// its tally (empty unless built by
+    /// [`ExplorationReport::build_explained`] with a sink).
     pub why: Vec<String>,
 }
 
@@ -100,20 +108,23 @@ impl ExplorationReport {
         tech: &MemoryTechnology,
         area: &(impl AreaModel + Sync),
     ) -> Self {
-        let candidates = exploration
-            .candidates
-            .iter()
-            .map(|c| {
-                (
-                    describe_source(c.source),
-                    c.size,
-                    c.reuse_factor(),
-                    c.exact,
-                )
-            })
-            .collect();
-        let pareto = exploration
-            .pareto(opts, tech, area)
+        Self::build_explained(exploration, opts, tech, area, None)
+    }
+
+    /// [`ExplorationReport::build`] with an optional audit sink. With
+    /// `Some`, the one front the report prints also writes its `chain`
+    /// records into the sink, and the `why` section is rendered from the
+    /// exploration's dedupe verdicts and that front's.
+    pub fn build_explained(
+        exploration: &SignalExploration,
+        opts: &ExploreOptions,
+        tech: &MemoryTechnology,
+        area: &(impl AreaModel + Sync),
+        explain: Option<&Explain>,
+    ) -> Self {
+        let _timer = span("report");
+        let (front, chain_why) = exploration.pareto_explained(opts, tech, area, explain);
+        let pareto = front
             .into_iter()
             .map(|p| {
                 let (chain, cost) = p.payload;
@@ -126,22 +137,22 @@ impl ExplorationReport {
                 }
             })
             .collect();
+        let why = match explain {
+            Some(_) => {
+                let mut why = candidate_why(exploration);
+                why.extend(chain_why);
+                why
+            }
+            None => Vec::new(),
+        };
         Self {
             array: exploration.array.clone(),
             c_tot: exploration.c_tot,
             background_words: exploration.background_words,
-            candidates,
+            candidates: exploration.candidates.clone(),
             pareto,
-            why: Vec::new(),
+            why,
         }
-    }
-
-    /// Fills the `why` section from an exploration audit sink: records of
-    /// other arrays are ignored, so one sink can serve a whole-program
-    /// report.
-    pub fn with_why(mut self, explain: &datareuse_obs::Explain) -> Self {
-        self.why = crate::explain::why_lines(&explain.records(), &self.array);
-        self
     }
 }
 
@@ -170,18 +181,31 @@ impl ExplorationReport {
     /// # }
     /// ```
     pub fn to_json(&self) -> String {
+        self.json().to_string()
+    }
+
+    /// The report as a JSON value, which the served `explore` and
+    /// `report` ops return as their result, encoded under a `render`
+    /// span. (The CLI opens that span itself around [`Self::to_json`]
+    /// and the write of its text.)
+    pub fn to_json_value(&self) -> Json {
+        let _timer = span("render");
+        self.json()
+    }
+
+    fn json(&self) -> Json {
         Json::obj([
             ("array", Json::str(&self.array)),
             ("c_tot", Json::UInt(self.c_tot)),
             ("background_words", Json::UInt(self.background_words)),
             (
                 "candidates",
-                Json::arr(self.candidates.iter().map(|(label, size, fr, exact)| {
+                Json::arr(self.candidates.iter().map(|c| {
                     Json::obj([
-                        ("source", Json::str(label)),
-                        ("size", Json::UInt(*size)),
-                        ("reuse_factor", Json::Num(*fr)),
-                        ("exact", Json::Bool(*exact)),
+                        ("source", Json::str(describe_source(c.source))),
+                        ("size", Json::UInt(c.size)),
+                        ("reuse_factor", Json::Num(c.reuse_factor())),
+                        ("exact", Json::Bool(c.exact)),
                     ])
                 })),
             ),
@@ -201,23 +225,26 @@ impl ExplorationReport {
             ),
             ("why", Json::arr(self.why.iter().map(Json::str))),
         ])
-        .to_string()
     }
 }
 
 impl fmt::Display for ExplorationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let _timer = span("render");
         writeln!(
             f,
             "signal `{}`: {} reads, {} background elements",
             self.array, self.c_tot, self.background_words
         )?;
         writeln!(f, "\ncopy-candidates:")?;
-        for (label, size, fr, exact) in &self.candidates {
+        for c in &self.candidates {
             writeln!(
                 f,
-                "  {size:>8} elements  F_R = {fr:>8.2}  {label}{}",
-                if *exact { "" } else { "  (approximate)" }
+                "  {:>8} elements  F_R = {:>8.2}  {}{}",
+                c.size,
+                c.reuse_factor(),
+                describe_source(c.source),
+                if c.exact { "" } else { "  (approximate)" }
             )?;
         }
         writeln!(f, "\nPareto front (size, normalized power, background share):")?;
@@ -289,6 +316,8 @@ mod tests {
         );
         let json = r.to_json();
         assert!(json.starts_with("{\"array\":\"A\""));
+        // The served ops return the value; its text is the CLI's line.
+        assert_eq!(r.to_json_value().to_string(), json);
         // Round-trip through the in-repo reader: the document is
         // well-formed and candidate/Pareto counts survive the encoding.
         let parsed = Json::parse(&json).expect("report JSON must parse");
@@ -312,12 +341,11 @@ mod tests {
         let opts = ExploreOptions::default();
         let ex = crate::explore::explore_signal_explained(&p, "A", &opts, Some(&sink)).unwrap();
         let tech = MemoryTechnology::new();
-        let front = ex.pareto_explained(&opts, &tech, &BitCount, Some(&sink));
-        let r = ExplorationReport::build(&ex, &opts, &tech, &BitCount).with_why(&sink);
+        let r = ExplorationReport::build_explained(&ex, &opts, &tech, &BitCount, Some(&sink));
         // One line per kept candidate + tally, one per front chain + tally.
         assert_eq!(
             r.why.len(),
-            ex.candidates.len() + front.len() + 2,
+            ex.candidates.len() + r.pareto.len() + 2,
             "{:#?}",
             r.why
         );

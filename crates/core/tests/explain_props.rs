@@ -175,8 +175,8 @@ fn audit_records_cover_the_exploration_exactly_once() {
             let pre = explore_signal(&hoisted(&program)?, "A", &opts).map_err(|e| e.to_string())?;
             prop_assert_eq!(&pre, &plain);
             let records: Vec<Json> = sink
-                .records()
-                .iter()
+                .to_ndjson()
+                .lines()
                 .map(|l| Json::parse(l).map_err(|e| e.to_string()))
                 .collect::<Result<_, _>>()?;
             let candidates: Vec<&Json> = records
@@ -199,6 +199,9 @@ fn audit_records_cover_the_exploration_exactly_once() {
                 candidates.len() as u64
             );
             prop_assert_eq!(num("offered"), candidates.len() as u64);
+            // The records render the exploration's own offered pool.
+            prop_assert_eq!(ex.offered.len(), candidates.len());
+            prop_assert_eq!(ex.verdicts.len(), candidates.len());
             prop_assert_eq!(num("kept") + num("bypass"), ex.candidates.len() as u64);
             let verdict_of = |r: &Json| {
                 r.get("verdict")

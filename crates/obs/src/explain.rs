@@ -71,11 +71,6 @@ impl Explain {
         self.len() == 0
     }
 
-    /// A copy of every record line, in emission order.
-    pub fn records(&self) -> Vec<String> {
-        self.lines.lock().expect("explain sink poisoned").clone()
-    }
-
     /// The whole log as NDJSON: one record per line, trailing newline.
     /// Empty string when no records were emitted.
     pub fn to_ndjson(&self) -> String {
@@ -101,7 +96,7 @@ mod tests {
         sink.emit_lines(["{\"id\":1}".to_string(), "{\"id\":2}".to_string()]);
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.to_ndjson(), "{\"id\":0}\n{\"id\":1}\n{\"id\":2}\n");
-        for (i, line) in sink.records().iter().enumerate() {
+        for (i, line) in sink.to_ndjson().lines().enumerate() {
             let parsed = Json::parse(line).expect("each record is one JSON object");
             assert_eq!(parsed.get("id").and_then(Json::as_u64), Some(i as u64));
         }

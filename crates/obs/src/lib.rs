@@ -24,8 +24,6 @@
 //!   attribution (a fan-out credits its workers' bytes back to the
 //!   spawning thread with [`credit_thread_alloc_bytes`]); surfaced as
 //!   the `alloc_*` gauges and the spans' byte columns.
-//! - **Worker load** ([`record_worker_items`]) — items processed per
-//!   `parallel_map` worker, for spotting a load-imbalanced sweep.
 //! - **Latency histograms** ([`Hist`], [`record_hist`], [`Histogram`]) —
 //!   atomic log-bucketed (power-of-√2) histograms with p50/p90/p99/p999
 //!   extraction, recorded on the serving path (cold vs cache-hit
@@ -60,7 +58,7 @@
 //! The `counters` section of a snapshot counts *work*, not time, and the
 //! exploration's `parallel_map` is order-preserving, so counters are
 //! deterministic for a given workload regardless of thread count; the
-//! `spans`, `gauges`, and `load` sections carry the scheduling- and
+//! `spans`, `gauges`, and `hists` sections carry the scheduling- and
 //! clock-dependent data.
 //!
 //! # Example
@@ -111,7 +109,7 @@ pub use hist::{hist_snapshot, record_hist, Hist, HistSnapshot, Histogram};
 pub use json::{Json, JsonParseError};
 pub use metrics::{
     add, counter_value, gauge_add, gauge_max, gauge_sub, gauge_value, metrics_enabled,
-    record_worker_items, reset_metrics, set_metrics_enabled, snapshot, Counter, Gauge,
+    reset_metrics, set_metrics_enabled, snapshot, Counter, Gauge,
     LocalCounter, MetricsSnapshot,
 };
 pub use profile::{collapsed_stacks, ProfileRow};

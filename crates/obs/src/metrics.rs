@@ -1,5 +1,4 @@
-//! Global metrics registry: named atomic counters, monotonic gauges, and
-//! per-worker load tracking.
+//! Global metrics registry: named atomic counters and gauges.
 //!
 //! The registry is process-global and **off by default**. Every recording
 //! entry point first does one `Relaxed` load of the enabled flag and
@@ -15,7 +14,6 @@
 //! deterministic (fixed iteration order).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::hist::{hist_snapshot, Hist, HistSnapshot};
 use crate::json::Json;
@@ -200,7 +198,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static COUNTERS: [AtomicU64; Counter::ALL.len()] =
     [const { AtomicU64::new(0) }; Counter::ALL.len()];
 static GAUGES: [AtomicU64; Gauge::ALL.len()] = [const { AtomicU64::new(0) }; Gauge::ALL.len()];
-static WORKER_ITEMS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 /// Turns metrics recording on or off for the whole process.
 ///
@@ -286,24 +283,8 @@ pub fn counter_value(counter: Counter) -> u64 {
     COUNTERS[counter as usize].load(Ordering::Relaxed)
 }
 
-/// Records that one parallel worker processed `items` work items.
-///
-/// Feeds the `load` section of the snapshot, which is how a skewed
-/// `parallel_map` fan-out shows up (one worker with most of the items).
-/// The per-worker distribution depends on scheduling, so it is reported
-/// separately from the deterministic `counters`.
-pub fn record_worker_items(items: u64) {
-    if !metrics_enabled() {
-        return;
-    }
-    WORKER_ITEMS
-        .lock()
-        .expect("worker-load registry poisoned")
-        .push(items);
-}
-
-/// Clears the entire registry — counters, gauges, spans, worker-load
-/// records, latency histograms, the flight recorder, buffered trace
+/// Clears the entire registry — counters, gauges, spans, latency
+/// histograms, the flight recorder, buffered trace
 /// events, and the allocator's monotone
 /// accumulators (the live-byte level survives, since that memory is
 /// still resident, and the peak resets to the current live level) — and
@@ -320,10 +301,6 @@ pub fn reset_metrics() {
     for g in &GAUGES {
         g.store(0, Ordering::Relaxed);
     }
-    WORKER_ITEMS
-        .lock()
-        .expect("worker-load registry poisoned")
-        .clear();
     crate::span::reset_spans();
     crate::alloc::reset_alloc();
     crate::hist::reset_hists();
@@ -341,8 +318,6 @@ pub struct MetricsSnapshot {
     /// Cumulative and self weights (nanoseconds and bytes) per span
     /// path, sorted by path.
     pub spans: Vec<ProfileRow>,
-    /// Items processed per parallel worker, in completion order.
-    pub worker_items: Vec<u64>,
     /// `(name, snapshot)` for every latency histogram, in
     /// [`Hist::ALL`] order.
     pub hists: Vec<(&'static str, HistSnapshot)>,
@@ -377,7 +352,7 @@ impl MetricsSnapshot {
     /// columns partition each root's totals exactly.
     ///
     /// The `counters` section is deterministic for a given workload (it
-    /// counts work, not time); `gauges`, `spans`, `load`, and `hists`
+    /// counts work, not time); `gauges`, `spans`, and `hists`
     /// report scheduling- and clock-dependent data and vary run to run.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -408,13 +383,6 @@ impl MetricsSnapshot {
                 })),
             ),
             (
-                "load",
-                Json::obj([(
-                    "worker_items",
-                    Json::arr(self.worker_items.iter().map(|&n| Json::UInt(n))),
-                )]),
-            ),
-            (
                 "hists",
                 Json::obj(self.hists.iter().map(|(name, snap)| (*name, snap.to_json()))),
             ),
@@ -440,10 +408,6 @@ pub fn snapshot() -> MetricsSnapshot {
             .map(|&g| (g.name(), gauge_value(g)))
             .collect(),
         spans: profile_rows(),
-        worker_items: WORKER_ITEMS
-            .lock()
-            .expect("worker-load registry poisoned")
-            .clone(),
         hists: Hist::ALL
             .iter()
             .map(|&h| (h.name(), hist_snapshot(h)))
@@ -549,11 +513,9 @@ mod tests {
         reset_metrics();
         add(Counter::ParItems, 10);
         gauge_max(Gauge::ThreadsMax, 8);
-        record_worker_items(42);
         let snap = snapshot();
         assert_eq!(snap.counter(Counter::ParItems), 0);
         assert_eq!(snap.gauges[0].1, 0);
-        assert!(snap.worker_items.is_empty());
     }
 
     #[test]
@@ -566,13 +528,10 @@ mod tests {
         gauge_max(Gauge::ThreadsMax, 2);
         gauge_max(Gauge::ThreadsMax, 8);
         gauge_max(Gauge::ThreadsMax, 4);
-        record_worker_items(10);
-        record_worker_items(20);
         set_metrics_enabled(false);
         let snap = snapshot();
         assert_eq!(snap.counter(Counter::ParetoPointsKept), 7);
         assert_eq!(snap.gauges[0], ("threads_max", 8));
-        assert_eq!(snap.worker_items, vec![10, 20]);
         reset_metrics();
         assert_eq!(snapshot().counter(Counter::ParetoPointsKept), 0);
     }
@@ -605,7 +564,6 @@ mod tests {
         reset_metrics();
         set_metrics_enabled(true);
         add(Counter::ChainsEnumerated, 12);
-        record_worker_items(5);
         set_metrics_enabled(false);
         let text = snapshot().to_json().to_string();
         let parsed = Json::parse(&text).expect("snapshot JSON must parse");
@@ -621,8 +579,7 @@ mod tests {
         );
         assert!(parsed.get("gauges").is_some());
         assert!(parsed.get("spans").is_some());
-        let load = parsed.get("load").unwrap().get("worker_items").unwrap();
-        assert_eq!(load.at(0).and_then(Json::as_u64), Some(5));
+        assert!(parsed.get("load").is_none());
         let hists = parsed.get("hists").expect("hists section");
         assert_eq!(hists.entries().unwrap().len(), Hist::ALL.len());
         reset_metrics();

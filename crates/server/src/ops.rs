@@ -80,12 +80,7 @@ pub fn explore(params: &ExploreParams) -> Result<Json, OpError> {
     let opts = options(params.depth);
     let ex = explore_signal(&program, &array, &opts)
         .map_err(|e| OpError::bad(e.to_string()))?;
-    let report =
-        ExplorationReport::build(&ex, &opts, &MemoryTechnology::new(), &BitCount);
-    Json::parse(&report.to_json()).map_err(|e| OpError {
-        code: E_INTERNAL,
-        message: format!("report serialization failed: {e}"),
-    })
+    Ok(ExplorationReport::build(&ex, &opts, &MemoryTechnology::new(), &BitCount).to_json_value())
 }
 
 /// Runs `report`: one explore document per read signal of the program,
@@ -96,17 +91,9 @@ pub fn report(kernel: &str) -> Result<Json, OpError> {
     let tech = MemoryTechnology::new();
     let explorations =
         explore_program(&program, &opts).map_err(|e| OpError::bad(e.to_string()))?;
-    let docs = explorations
-        .iter()
-        .map(|ex| {
-            Json::parse(&ExplorationReport::build(ex, &opts, &tech, &BitCount).to_json())
-                .map_err(|e| OpError {
-                    code: E_INTERNAL,
-                    message: format!("report serialization failed: {e}"),
-                })
-        })
-        .collect::<Result<Vec<Json>, OpError>>()?;
-    Ok(Json::Arr(docs))
+    Ok(Json::arr(explorations.iter().map(|ex| {
+        ExplorationReport::build(ex, &opts, &tech, &BitCount).to_json_value()
+    })))
 }
 
 /// Runs `pareto`: enumerates and costs the copy-candidate chains of one
