@@ -13,7 +13,7 @@
 //! datareuse report  <kernel> [--json] [--explain FILE] [--metrics FILE]
 //!                   [--profile-out FILE] [--progress]
 //! datareuse serve   [--addr HOST:PORT] [--threads N] [--loops N] [--queue-depth N]
-//!                   [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
+//!                   [--cache-entries N] [--deadline-ms MS]
 //!                   [--metrics FILE] [--trace-out FILE] [--slo-p99-ms MS]
 //!                   [--slo-hit-ratio R] [--slo-queue F] [--progress]
 //! datareuse query   --addr HOST:PORT <request-json>...
@@ -23,7 +23,9 @@
 //! `<kernel>` is a built-in name (see `datareuse kernels`), a
 //! generated-corpus name (`gen-matmul-32x32x32`, …), an inline einsum
 //! expression such as `'C[i,j] += A[i,k] * B[k,j]'` (also accepted via
-//! `--expr EXPR`), or a path to a `.dr` DSL file. Expression parse
+//! `--expr EXPR`), a path to a `.dr` DSL file, or `.dr` source text
+//! itself (recognised by a leading `array`, `for` or `#`; the served
+//! `kernel` field takes the same text, but no path). Expression parse
 //! errors print a caret snippet pointing at the offending line:column
 //! and exit with the usage code (2).
 //!
@@ -104,9 +106,11 @@ use datareuse_core::{
     explore_orders, explore_program_explained, explore_signal_explained, ExplorationReport,
     ExploreOptions,
 };
-use datareuse_exprlang::{looks_like_expression, parse_expression};
-use datareuse_kernels::{corpus, load_kernel, BUILTINS, DEFAULT_CORPUS_SEED};
-use datareuse_loopir::{read_addresses, AccessKind, Program};
+use datareuse_exprlang::parse_expression;
+use datareuse_kernels::{
+    corpus, load_kernel, resolve_kernel, KernelError, BUILTINS, DEFAULT_CORPUS_SEED,
+};
+use datareuse_loopir::{parse_program, read_addresses, AccessKind, ParseNestError, Program};
 use datareuse_memmodel::{BitCount, MemoryTechnology};
 use datareuse_obs::Json;
 use datareuse_server::ops::{codegen_text, default_array};
@@ -129,7 +133,7 @@ const USAGE: &str = "usage: datareuse <command> [args]
                    [--selfcheck] [--single-assignment] [--adopt] [--band DEPTH]
                    [--rust]
   serve   [--addr HOST:PORT] [--threads N] [--loops N] [--queue-depth N]
-          [--cache-entries N] [--cache-snapshot FILE] [--deadline-ms MS]
+          [--cache-entries N] [--deadline-ms MS]
           [--metrics FILE] [--trace-out FILE] [--slo-p99-ms MS]
           [--slo-hit-ratio R] [--slo-queue F]
           [--profile-out FILE] [--progress]
@@ -137,7 +141,7 @@ const USAGE: &str = "usage: datareuse <command> [args]
   top     --addr HOST:PORT [--interval-ms MS] [--once] [--ascii]
 <kernel> is a built-in name (`datareuse kernels`), a generated-corpus name
 (gen-matmul-32x32x32, ...), an inline einsum expression like
-'C[i,j] += A[i,k] * B[k,j]' (also via --expr EXPR), or a path to a .dr file.
+'C[i,j] += A[i,k] * B[k,j]' (also via --expr EXPR), or a .dr file's path or text.
 query exit codes: 0 ok, 1 transport/server error, 3 timeout, 4 overloaded,
 5 health degraded, 6 health failing.";
 
@@ -241,9 +245,8 @@ const VERBS: &[Verb] = &[
     verb(
         "serve",
         &[
-            "addr", "threads", "loops", "queue-depth", "cache-entries", "cache-snapshot",
-            "deadline-ms", "slo-p99-ms", "slo-hit-ratio", "slo-queue", "trace-out", "metrics",
-            "profile-out",
+            "addr", "threads", "loops", "queue-depth", "cache-entries", "deadline-ms",
+            "slo-p99-ms", "slo-hit-ratio", "slo-queue", "trace-out", "metrics", "profile-out",
         ],
         &["progress"],
         cmd_serve,
@@ -299,34 +302,47 @@ impl Args {
     }
 }
 
-/// Parses an inline einsum expression, rendering parse failures as
-/// usage errors (exit 2) with a caret snippet pointing at the offending
-/// line:column on stderr.
-fn parse_cli_expression(src: &str) -> Result<Program, CliError> {
-    parse_expression(src).map_err(|e| {
-        let line = src.lines().nth(e.line.saturating_sub(1)).unwrap_or("");
-        let caret = format!("{}^", " ".repeat(e.column.saturating_sub(1)));
-        usage(format!("expression parse error at {e}\n  {line}\n  {caret}"))
-    })
+/// Renders an expression parse failure as a usage error (exit 2) with a
+/// caret snippet pointing at the offending line:column on stderr.
+fn expression_usage(src: &str, e: &ParseNestError) -> CliError {
+    let line = src.lines().nth(e.line.saturating_sub(1)).unwrap_or("");
+    let caret = format!("{}^", " ".repeat(e.column.saturating_sub(1)));
+    usage(format!("expression parse error at {e}\n  {line}\n  {caret}"))
+}
+
+/// Reads and parses a `.dr` file; errors carry the path and are
+/// runtime errors (exit 1).
+fn read_dr_file(path: &str) -> Result<Program, CliError> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    parse_program(&src).map_err(|e| CliError::Runtime(format!("{path}:{e}")))
 }
 
 /// Resolves the command's kernel operand: `--expr SOURCE`, or the first
-/// positional — which may itself be an inline expression, a built-in or
-/// generated-corpus name, or a `.dr` file path. Expression parse errors
-/// are usage errors with a caret snippet; `.dr` file errors stay
-/// runtime errors (exit 1).
+/// positional — a built-in or generated-corpus name, a `.dr` file path,
+/// or inline `.dr` source or einsum text. This is the one place a `.dr`
+/// file is read; everything else goes through [`resolve_kernel`], which
+/// decides the form of the text. Expression parse errors are usage
+/// errors with a caret snippet; the others are runtime errors (exit 1).
 fn cli_kernel(args: &Args) -> Result<Program, CliError> {
     if let Some(src) = args.flag("expr") {
-        return parse_cli_expression(src);
+        return parse_expression(src).map_err(|e| expression_usage(src, &e));
     }
     if args.has("expr") {
         return Err(usage("--expr expects an expression string"));
     }
     let name = args.kernel()?;
-    if looks_like_expression(name) && !name.ends_with(".dr") {
-        return parse_cli_expression(name);
+    let registered =
+        BUILTINS.iter().any(|(n, _)| n == name) || corpus().iter().any(|e| &e.name == name);
+    if !registered && std::path::Path::new(name).is_file() {
+        return read_dr_file(name);
     }
-    load_kernel(name).map_err(CliError::Runtime)
+    match resolve_kernel(name) {
+        Ok(program) => Ok(program),
+        Err(KernelError::Expression(e)) => Err(expression_usage(name, &e)),
+        // No kernel text at all: most likely a path that names no file.
+        Err(KernelError::Unknown(_)) => read_dr_file(name),
+        Err(e) => Err(CliError::Runtime(e.to_string())),
+    }
 }
 
 fn pick_array(args: &Args, program: &Program) -> Result<String, String> {
@@ -853,11 +869,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if let Some(l) = args.flag("loops") {
         config.loops = l.parse().map_err(|_| usage("bad --loops"))?;
     }
-    if let Some(path) = args.flag("cache-snapshot") {
-        config.snapshot_path = Some(std::path::PathBuf::from(path));
-    } else if args.has("cache-snapshot") {
-        return Err(usage("--cache-snapshot expects a file path"));
-    }
     if let Some(d) = args.flag("deadline-ms") {
         let ms: u64 = d.parse().map_err(|_| usage("bad --deadline-ms"))?;
         config.default_deadline = std::time::Duration::from_millis(ms);
@@ -889,16 +900,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         datareuse_obs::set_tracing_enabled(true);
     }
     let server = Server::bind(&config)?;
-    // The snapshot story goes to stderr (a rejected snapshot is a
-    // warning, not a failure — the server just starts cold).
-    match server.snapshot_load_report() {
-        Some(Ok(Some(n))) => eprintln!("datareuse-serve: cache snapshot restored {n} entries"),
-        Some(Ok(None)) => eprintln!("datareuse-serve: no cache snapshot yet, starting cold"),
-        Some(Err(reason)) => {
-            eprintln!("datareuse-serve: cache snapshot rejected: {reason}; starting cold");
-        }
-        None => {}
-    }
     let addr = server.local_addr()?;
     // Single discovery line; port 0 callers parse the chosen port here.
     outln!("datareuse-serve: listening on {addr}");
@@ -1089,8 +1090,14 @@ mod tests {
 
     #[test]
     fn unknown_kernel_reports_path_error() {
-        let e = load_kernel("/no/such/file.dr").unwrap_err();
-        assert!(e.contains("cannot read"));
+        let verb = VERBS.iter().find(|v| v.name == "emit").unwrap();
+        let Ok(args) = Args::parse(verb, &argv(&["/no/such/file.dr"])) else {
+            panic!("emit takes a kernel operand");
+        };
+        let Err(CliError::Runtime(e)) = cli_kernel(&args) else {
+            panic!("a missing file is a runtime error");
+        };
+        assert!(e.starts_with("cannot read `/no/such/file.dr`"), "{e}");
     }
 
     #[test]

@@ -746,6 +746,12 @@ fn unknown_flags_exit_2_and_name_the_flag() {
         "{stderr}"
     );
     assert!(stderr.contains("usage: datareuse"), "{stderr}");
+    // A deleted flag is refused the same way. The unbindable address
+    // makes a server that accepted the flag exit 1 instead of serving.
+    let (code, stderr) =
+        exit_code_of(&["serve", "--addr", "256.0.0.0:1", "--cache-snapshot", "x"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown flag `--cache-snapshot` for `serve`"), "{stderr}");
 }
 
 /// `(verb, flags)` for every subcommand section of the usage summary;

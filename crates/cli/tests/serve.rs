@@ -14,11 +14,18 @@ use datareuse_core::Json;
 /// The slow request target of the timeout, overload and coalescing
 /// tests: a nest whose non-separable guard keeps every exploration on
 /// the enumeration path (about 0.4 s per `report` in a release build).
-const SLOW_KERNEL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/slow_guarded.dr");
+/// It goes on the wire as its `.dr` text; the server reads no files.
+const SLOW_KERNEL: &str = include_str!("fixtures/slow_guarded.dr");
+
+/// A request for `op` on the kernel `text`, with `fields` spliced into
+/// the JSON object.
+fn kernel_request(op: &str, text: &str, fields: &str) -> String {
+    format!(r#"{{"op":"{op}","kernel":{},{fields}}}"#, Json::str(text))
+}
 
 /// A slow request with `fields` spliced into the JSON object.
 fn slow_request(op: &str, fields: &str) -> String {
-    format!(r#"{{"op":"{op}","kernel":"{SLOW_KERNEL}",{fields}}}"#)
+    kernel_request(op, SLOW_KERNEL, fields)
 }
 
 struct ServerProc {
@@ -34,15 +41,6 @@ impl ServerProc {
     /// Spawns with extra environment variables set for the daemon.
     fn spawn_with_env(extra: &[&str], env: &[(&str, &str)]) -> ServerProc {
         Self::spawn_inner(extra, env, Stdio::null()).0
-    }
-
-    /// Spawns with stderr piped so a test can assert on the snapshot
-    /// warnings. Read the handle only after the server exits — serve
-    /// writes a few short lines, far below the pipe buffer, so the
-    /// daemon never blocks on it.
-    fn spawn_capturing_stderr(extra: &[&str]) -> (ServerProc, std::process::ChildStderr) {
-        let (server, stderr) = Self::spawn_inner(extra, &[], Stdio::piped());
-        (server, stderr.expect("stderr piped"))
     }
 
     fn spawn_inner(
@@ -695,99 +693,6 @@ fn a_batch_frame_answers_with_bytes_identical_to_the_one_shot_cli() {
 }
 
 #[test]
-fn a_cache_snapshot_warm_start_serves_the_first_request_from_cache() {
-    let snap = std::env::temp_dir().join(format!(
-        "datareuse_serve_snap_{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&snap);
-    let expected = one_shot_stdout(&["explore", "fir", "--json"]);
-    let expected = expected.trim();
-    let request = r#"{"op":"explore","kernel":"fir"}"#;
-    let args = [
-        "--cache-entries",
-        "64",
-        "--cache-snapshot",
-        snap.to_str().unwrap(),
-    ];
-
-    // First life: compute once, drain, persist.
-    let server = ServerProc::spawn(&args);
-    let cold = exchange(&server.addr, &[request]);
-    assert_eq!(cold[0].get("cached").and_then(Json::as_bool), Some(false));
-    server.shutdown();
-    let text = std::fs::read_to_string(&snap).expect("snapshot written on drain");
-    assert!(text.contains("datareuse-cache-snapshot-v1"), "{text}");
-
-    // Second life: the very first request is already a hit, and the
-    // restored bytes match both the first life and the one-shot CLI.
-    let server = ServerProc::spawn(&args);
-    let warm = exchange(&server.addr, &[request]);
-    assert_eq!(
-        warm[0].get("cached").and_then(Json::as_bool),
-        Some(true),
-        "warm start serves from the restored cache: {}",
-        warm[0]
-    );
-    let warm_result = warm[0].get("result").map(Json::to_string).unwrap();
-    assert_eq!(
-        warm_result,
-        cold[0].get("result").map(Json::to_string).unwrap(),
-        "restored bytes match the original computation"
-    );
-    assert_eq!(warm_result, expected, "and the one-shot CLI");
-    let stats = exchange(&server.addr, &[r#"{"op":"stats"}"#]);
-    let counters = stats[0]
-        .get("result")
-        .and_then(|r| r.get("counters"))
-        .expect("counters in stats");
-    assert!(
-        counters.get("serve_snapshot_loaded").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "load recorded: {counters}"
-    );
-    server.shutdown();
-    let _ = std::fs::remove_file(&snap);
-}
-
-#[test]
-fn corrupt_and_stale_snapshots_are_rejected_with_a_cold_start() {
-    let old_version = concat!(
-        r#"{"schema":"datareuse-cache-snapshot-v0","entries":[],"#,
-        r#""checksum":"0000000000000000"}"#
-    );
-    for (label, contents) in [("garbage", "not json at all"), ("stale schema", old_version)] {
-        let snap = std::env::temp_dir().join(format!(
-            "datareuse_serve_badsnap_{}_{}.json",
-            std::process::id(),
-            label.replace(' ', "_")
-        ));
-        std::fs::write(&snap, contents).unwrap();
-        let (server, mut stderr) = ServerProc::spawn_capturing_stderr(&[
-            "--cache-entries",
-            "64",
-            "--cache-snapshot",
-            snap.to_str().unwrap(),
-        ]);
-        // The server came up serving (cold) despite the bad snapshot.
-        let responses = exchange(&server.addr, &[r#"{"op":"explore","kernel":"fir"}"#]);
-        assert_eq!(
-            responses[0].get("cached").and_then(Json::as_bool),
-            Some(false),
-            "{label}: nothing restored"
-        );
-        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
-        server.shutdown();
-        let mut text = String::new();
-        std::io::Read::read_to_string(&mut stderr, &mut text).unwrap();
-        assert!(
-            text.contains("cache snapshot rejected"),
-            "{label}: stderr surfaces the rejection: {text}"
-        );
-        let _ = std::fs::remove_file(&snap);
-    }
-}
-
-#[test]
 fn an_unmeetable_slo_maps_health_to_exit_6() {
     // A zero p99 SLO fails as soon as any request has been served.
     let server = ServerProc::spawn(&["--slo-p99-ms", "0"]);
@@ -837,15 +742,14 @@ fn two_hundred_held_connections_are_each_served_and_counted() {
 #[test]
 fn overflowing_extents_are_refused_and_serving_continues() {
     let server = ServerProc::spawn(&["--threads", "1"]);
-    let fixtures = [
-        "overflow_near_i64_max.dr",
-        "overflow_tera_extent.dr",
-        "overflow_index_coefficient.dr",
-    ]
-    .map(|name| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR")));
-    let einsum = "C[i,j] += A[i*4294967296,j] where i=4294967296, j=3".to_string();
-    for name in fixtures.iter().chain([&einsum]) {
-        let request = format!(r#"{{"op":"explore","kernel":"{name}"}}"#);
+    let kernels = [
+        include_str!("fixtures/overflow_near_i64_max.dr"),
+        include_str!("fixtures/overflow_tera_extent.dr"),
+        include_str!("fixtures/overflow_index_coefficient.dr"),
+        "C[i,j] += A[i*4294967296,j] where i=4294967296, j=3",
+    ];
+    for name in kernels {
+        let request = kernel_request("explore", name, r#""id":0"#);
         let started = Instant::now();
         let refused = exchange(&server.addr, &[&request]).remove(0);
         let elapsed = started.elapsed();
@@ -855,5 +759,53 @@ fn overflowing_extents_are_refused_and_serving_continues() {
         let next = exchange(&server.addr, &[r#"{"op":"explore","kernel":"fir"}"#]).remove(0);
         assert_eq!(next.get("ok").and_then(Json::as_bool), Some(true), "after {name}: {next}");
     }
+    server.shutdown();
+}
+
+/// A kernel text that names a file is refused as an unknown kernel: the
+/// server opens no file a client names, so nothing of it is echoed.
+#[test]
+fn a_path_kernel_is_refused_without_reading_the_file() {
+    let path = std::env::temp_dir().join(format!("datareuse_serve_path_{}.dr", std::process::id()));
+    let sentinel = "zq_sentinel_4471";
+    std::fs::write(&path, format!("{sentinel} array A[4];\n")).unwrap();
+    let server = ServerProc::spawn(&[]);
+    let request = kernel_request("explore", path.to_str().unwrap(), r#""id":1"#);
+    let refused = exchange(&server.addr, &[&request]).remove(0);
+    let _ = std::fs::remove_file(&path);
+    let error = refused.get("error").expect("error envelope");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"), "{refused}");
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.starts_with("unknown kernel"), "{message}");
+    assert!(!message.contains(sentinel), "the file's content leaked: {message}");
+    server.shutdown();
+}
+
+/// `.dr` source sent inline answers exactly what the CLI prints for the
+/// same file, and the cache key covers the whole text: an edited kernel
+/// is a miss that computes the new answer.
+#[test]
+fn inline_dr_source_matches_the_cli_and_is_keyed_by_its_content() {
+    let window = "array A[12];\nfor i in 0..10 { for j in 0..3 { read A[i + j]; } }\n";
+    let edited = "array A[12];\nfor i in 0..10 { read A[i]; }\n";
+    let server = ServerProc::spawn(&["--threads", "1"]);
+    for (text, c_tot) in [(window, 30), (edited, 10)] {
+        let path = std::env::temp_dir().join(format!(
+            "datareuse_serve_inline_{c_tot}_{}.dr",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).unwrap();
+        let expected = one_shot_stdout(&["explore", path.to_str().unwrap(), "--json"]);
+        let _ = std::fs::remove_file(&path);
+        let request = kernel_request("explore", text, r#""id":2"#);
+        let doc = exchange(&server.addr, &[&request]).remove(0);
+        assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false), "{doc}");
+        let result = doc.get("result").expect("result present");
+        assert_eq!(result.to_string(), expected.trim(), "served source differs from the CLI");
+        assert_eq!(result.get("c_tot").and_then(Json::as_u64), Some(c_tot), "{result}");
+    }
+    let again = kernel_request("explore", window, r#""id":3"#);
+    let doc = exchange(&server.addr, &[&again]).remove(0);
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true), "{doc}");
     server.shutdown();
 }

@@ -17,9 +17,10 @@
 //!   `datareuse-exprlang` einsum expressions (matmul, conv1d, conv2d,
 //!   attention score, LU update, 5-point stencil at several sizes), a
 //!   pure function of the seed;
-//! - [`load_kernel`] — the one resolution path every CLI command and
-//!   serve op uses: builtin name → corpus name → inline einsum
-//!   expression → `.dr` file path.
+//! - [`load_kernel`] (typed: [`resolve_kernel`]) — the one resolution
+//!   path every CLI command and serve op uses: builtin name → corpus
+//!   name → inline `.dr` source → inline einsum expression. It reads no
+//!   file; the CLI reads a `.dr` file itself.
 //!
 //! # Examples
 //!
@@ -45,7 +46,7 @@ mod susan;
 
 pub use corpus::{corpus, corpus_kernel, generate_corpus, CorpusEntry, DEFAULT_CORPUS_SEED};
 pub use fir::Fir;
-pub use registry::{builtin_kernel, load_kernel, BUILTINS};
+pub use registry::{builtin_kernel, load_kernel, resolve_kernel, KernelError, BUILTINS};
 pub use matmul::{MatMul, MatMulOrder};
 pub use me::MotionEstimation;
 pub use stencils::{Conv2d, Downsample, Sobel};

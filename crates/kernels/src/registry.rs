@@ -1,14 +1,18 @@
-//! Named kernel registry: one place that maps a kernel name (or a `.dr`
-//! file path) to a [`Program`].
+//! Named kernel registry: one place that maps a kernel text — a name,
+//! `.dr` source, or an einsum expression — to a [`Program`].
 //!
 //! Both entry points of the workspace — the one-shot `datareuse` CLI and
 //! the long-running `datareuse serve` daemon — resolve workloads through
 //! this registry, so a request for `"me-small"` means the same program
 //! everywhere and the server's responses stay byte-identical to the
-//! equivalent CLI invocation.
+//! equivalent CLI invocation. The registry never touches the
+//! filesystem: the program is a pure function of the text, which is
+//! what lets the server key its result cache by the request text.
+
+use std::fmt;
 
 use datareuse_exprlang::{looks_like_expression, parse_expression};
-use datareuse_loopir::{parse_program, Program};
+use datareuse_loopir::{parse_program, ParseNestError, Program};
 use datareuse_obs::{add, Counter};
 
 use crate::corpus::corpus_kernel;
@@ -67,21 +71,90 @@ pub fn builtin_kernel(name: &str) -> Option<Program> {
     }
 }
 
-/// Loads a kernel by name: a built-in, a generated-corpus entry, an
-/// inline einsum expression (anything that
-/// [`looks_like_expression`]), or a path to a `.dr` DSL file — in that
-/// order.
+/// Why a kernel text did not load.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KernelError {
+    /// `.dr` source that does not parse.
+    Source(ParseNestError),
+    /// An einsum expression that does not parse or lower.
+    Expression(ParseNestError),
+    /// Text that is no builtin or corpus name, no `.dr` source and no
+    /// einsum expression. Holds the text itself.
+    Unknown(String),
+}
+
+impl fmt::Display for KernelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KernelError::Source(e) => write!(f, "source:{e}"),
+            KernelError::Expression(e) => write!(f, "expression:{e}"),
+            KernelError::Unknown(text) => write!(
+                f,
+                "unknown kernel `{text}`: not a builtin or corpus name, `.dr` source \
+                 or einsum expression"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for KernelError {}
+
+/// Whether `text` is `.dr` source: its first token is a `#` comment,
+/// or the keyword `array` or `for` followed by a name. The name rule
+/// keeps an einsum whose output is called `array` (`array[i] = x[i]`)
+/// an einsum, and this test runs before [`looks_like_expression`],
+/// which any `.dr` text with a subscript and a guard such as
+/// `if i != j` also satisfies.
+fn looks_like_source(text: &str) -> bool {
+    let text = text.trim_start();
+    text.starts_with('#')
+        || ["array", "for"].iter().any(|keyword| {
+            text.strip_prefix(keyword).is_some_and(|rest| {
+                rest.starts_with(|c: char| c.is_ascii_whitespace())
+                    && rest.trim_start().starts_with(|c: char| c.is_alphabetic() || c == '_')
+            })
+        })
+}
+
+/// Resolves a kernel text to its program, trying in order a built-in
+/// name, a generated-corpus name, inline `.dr` source, and an inline
+/// einsum expression (anything that [`looks_like_expression`]).
 ///
-/// Every consumer of kernels resolves through this one function (the
-/// CLI subcommands and the serve ops), so an expression string in a
-/// served request's `kernel` field means the same program — and gets
-/// the same canonical cache key — as the equivalent one-shot CLI run.
+/// The program is a pure function of the text: nothing here reads a
+/// file. Every consumer resolves through here (the CLI subcommands,
+/// which read a `.dr` file themselves, and the serve ops), so a served
+/// request's `kernel` text means the same program as the equivalent
+/// one-shot CLI run, and its cache key covers the whole computation.
 ///
 /// # Errors
 ///
-/// A human-readable message when the file cannot be read or the source
-/// fails to parse; expression errors keep the `line:column:` prefix of
-/// [`datareuse_exprlang::ParseNestError`].
+/// The parse error of `.dr` source or of an expression, or
+/// [`KernelError::Unknown`] for any other text.
+pub fn resolve_kernel(text: &str) -> Result<Program, KernelError> {
+    if let Some(program) = builtin_kernel(text) {
+        return Ok(program);
+    }
+    if let Some(program) = corpus_kernel(text) {
+        add(Counter::CorpusKernelsLoaded, 1);
+        return Ok(program);
+    }
+    if looks_like_source(text) {
+        return parse_program(text).map_err(KernelError::Source);
+    }
+    if looks_like_expression(text) {
+        let program = parse_expression(text).map_err(KernelError::Expression)?;
+        add(Counter::ExprKernelsLowered, 1);
+        return Ok(program);
+    }
+    Err(KernelError::Unknown(text.to_string()))
+}
+
+/// [`resolve_kernel`] with the error as text.
+///
+/// # Errors
+///
+/// `source:` or `expression:` before the parse error's `line:column:`,
+/// or the unknown text quoted back.
 ///
 /// # Examples
 ///
@@ -92,25 +165,13 @@ pub fn builtin_kernel(name: &str) -> Option<Program> {
 /// assert_eq!(p.nests()[0].depth(), 3);
 /// let p = datareuse_kernels::load_kernel("y[n] += x[n+t] * h[t] where n=64, t=8").unwrap();
 /// assert_eq!(p.array("x").unwrap().extents(), &[71]);
-/// assert!(datareuse_kernels::load_kernel("/no/such/file.dr").is_err());
+/// let p = datareuse_kernels::load_kernel("array A[8]; for i in 0..8 { read A[i]; }").unwrap();
+/// assert_eq!(p.nests().len(), 1);
+/// let e = datareuse_kernels::load_kernel("/etc/hostname").unwrap_err();
+/// assert!(e.starts_with("unknown kernel `/etc/hostname`"));
 /// ```
-pub fn load_kernel(name: &str) -> Result<Program, String> {
-    if let Some(program) = builtin_kernel(name) {
-        return Ok(program);
-    }
-    if let Some(program) = corpus_kernel(name) {
-        add(Counter::CorpusKernelsLoaded, 1);
-        return Ok(program);
-    }
-    if looks_like_expression(name) {
-        let program =
-            parse_expression(name).map_err(|e| format!("expression:{e}"))?;
-        add(Counter::ExprKernelsLowered, 1);
-        return Ok(program);
-    }
-    let src =
-        std::fs::read_to_string(name).map_err(|e| format!("cannot read `{name}`: {e}"))?;
-    parse_program(&src).map_err(|e| format!("{name}:{e}"))
+pub fn load_kernel(text: &str) -> Result<Program, String> {
+    resolve_kernel(text).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -126,10 +187,32 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_fall_through_to_the_filesystem() {
+    fn unknown_text_is_quoted_back_and_never_read_as_a_path() {
         assert!(builtin_kernel("not-a-kernel").is_none());
         let e = load_kernel("/no/such/file.dr").unwrap_err();
-        assert!(e.contains("cannot read"), "{e}");
+        assert_eq!(
+            e,
+            "unknown kernel `/no/such/file.dr`: not a builtin or corpus name, `.dr` source \
+             or einsum expression"
+        );
+        assert!(matches!(resolve_kernel("Cargo.toml"), Err(KernelError::Unknown(_))));
+    }
+
+    #[test]
+    fn source_is_told_apart_from_einsums_by_its_first_token() {
+        for src in [
+            "array A[4]; for i in 0..4 { read A[i]; }",
+            "  # a comment\narray A[4]; for i in 0..4 { read A[i]; }",
+            "array A[8][8]; for i in 0..8 { for j in 0..8 { read A[i][j] if i != j; } }",
+        ] {
+            assert!(looks_like_source(src), "{src}");
+            assert!(resolve_kernel(src).is_ok(), "{src}");
+        }
+        for einsum in ["array[i] = x[i]", "array [i] += x[i]", "for[i] += x[i] * y[i]"] {
+            assert!(!looks_like_source(einsum), "{einsum}");
+        }
+        assert!(matches!(resolve_kernel("array A[4]; for"), Err(KernelError::Source(_))));
+        assert!(load_kernel("array A[4]; read").unwrap_err().starts_with("source:1:"));
     }
 
     #[test]

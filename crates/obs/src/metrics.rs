@@ -58,8 +58,6 @@ pub enum Counter {
     ServeCacheEvictions,
     ServeCoalesced,
     ServeBatchRequests,
-    ServeSnapshotLoaded,
-    ServeSnapshotSaved,
     ServeOverloaded,
     ServeTimeouts,
     ServeErrors,
@@ -67,7 +65,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 36] = [
         Counter::ExploreGroups,
         Counter::ExplorePairsSwept,
         Counter::ExploreCandidatesGenerated,
@@ -101,8 +99,6 @@ impl Counter {
         Counter::ServeCacheEvictions,
         Counter::ServeCoalesced,
         Counter::ServeBatchRequests,
-        Counter::ServeSnapshotLoaded,
-        Counter::ServeSnapshotSaved,
         Counter::ServeOverloaded,
         Counter::ServeTimeouts,
         Counter::ServeErrors,
@@ -144,8 +140,6 @@ impl Counter {
             Counter::ServeCacheEvictions => "serve_cache_evictions",
             Counter::ServeCoalesced => "serve_coalesced",
             Counter::ServeBatchRequests => "serve_batch_requests",
-            Counter::ServeSnapshotLoaded => "serve_snapshot_loaded",
-            Counter::ServeSnapshotSaved => "serve_snapshot_saved",
             Counter::ServeOverloaded => "serve_overloaded",
             Counter::ServeTimeouts => "serve_timeouts",
             Counter::ServeErrors => "serve_errors",

@@ -122,41 +122,6 @@ impl ResultCache {
         }
         shard.entries.insert(key, Entry { tick, value });
     }
-
-    /// Number of cached results across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock(s).entries.len())
-            .sum()
-    }
-
-    /// Whether the cache currently holds nothing (also true when
-    /// disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether caching is active (capacity above zero).
-    pub fn enabled(&self) -> bool {
-        self.per_shard > 0
-    }
-
-    /// Every `(key, value)` currently cached, in unspecified order —
-    /// the snapshot writer sorts before serializing.
-    pub fn entries(&self) -> Vec<(u64, Arc<str>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = lock(shard);
-            out.extend(
-                shard
-                    .entries
-                    .iter()
-                    .map(|(&k, e)| (k, Arc::clone(&e.value))),
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +138,6 @@ mod tests {
         assert!(cache.get(7).is_none());
         cache.insert(7, arc("seven"));
         assert_eq!(cache.get(7).as_deref(), Some("seven"));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -209,7 +173,6 @@ mod tests {
         let cache = ResultCache::new(0);
         cache.insert(1, arc("x"));
         assert!(cache.get(1).is_none());
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! - [`ops`] — op execution shared with the CLI subcommands, which is
 //!   what makes server responses byte-identical to one-shot runs.
 //! - [`cache`] — the sharded LRU result cache.
-//! - [`snapshot`] — versioned cache persistence (write-on-drain,
-//!   load-on-start, checksum + schema gated).
 //! - [`pool`] — the bounded worker pool (backpressure + drain).
 //! - [`reactor`] — readiness primitives: a safe `poll(2)` wrapper and
 //!   the cross-thread wake pipe.
@@ -41,7 +39,6 @@ pub mod protocol;
 pub mod reactor;
 pub mod server;
 pub mod singleflight;
-pub mod snapshot;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -52,6 +49,16 @@ pub use pool::WorkerPool;
 pub use protocol::{cache_key, Request};
 pub use server::{Server, ServerConfig, SloThresholds};
 pub use singleflight::{JoinRole, SingleFlight};
+
+/// Serializes this crate's unit tests that run explorations. The span
+/// registry is process-wide, so a `stats` snapshot taken while another
+/// test's span is open holds that span's finished children without it,
+/// and the span rows stop partitioning the root totals.
+#[cfg(test)]
+pub(crate) fn serial_test() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    lock(&SERIAL)
+}
 
 /// Locks `mutex`, recovering the guard if a thread panicked while
 /// holding it. Every critical section in this crate only moves values

@@ -18,7 +18,7 @@ use datareuse_core::{
 use datareuse_kernels::load_kernel;
 use datareuse_loopir::{AccessKind, Program};
 use datareuse_memmodel::{BitCount, MemoryLibrary, MemoryTechnology};
-use datareuse_obs::Json;
+use datareuse_obs::{span, Json};
 
 use crate::protocol::{
     CodegenParams, CodegenSpec, ExploreParams, Op, ParetoParams, E_BAD_REQUEST, E_INTERNAL,
@@ -56,6 +56,7 @@ pub fn default_array(program: &Program) -> Option<String> {
 }
 
 fn resolve(kernel: &str, array: Option<&str>) -> Result<(Program, String), OpError> {
+    let _load = span("load");
     let program = load_kernel(kernel).map_err(OpError::bad)?;
     let array = match array {
         Some(a) => a.to_string(),
@@ -86,7 +87,10 @@ pub fn explore(params: &ExploreParams) -> Result<Json, OpError> {
 /// Runs `report`: one explore document per read signal of the program,
 /// exactly as `datareuse report <kernel> --json` prints it.
 pub fn report(kernel: &str) -> Result<Json, OpError> {
-    let program = load_kernel(kernel).map_err(OpError::bad)?;
+    let program = {
+        let _load = span("load");
+        load_kernel(kernel).map_err(OpError::bad)?
+    };
     let opts = ExploreOptions::default();
     let tech = MemoryTechnology::new();
     let explorations =
@@ -239,6 +243,7 @@ mod tests {
 
     #[test]
     fn explore_matches_the_report_builder_byte_for_byte() {
+        let _serial = crate::serial_test();
         let params = ExploreParams {
             kernel: "me-small".into(),
             array: Some("Old".into()),
@@ -262,6 +267,7 @@ mod tests {
 
     #[test]
     fn pareto_reports_points_and_collapses_onto_a_library() {
+        let _serial = crate::serial_test();
         let params = ParetoParams {
             kernel: "fir".into(),
             array: None,
@@ -290,6 +296,7 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e.code, E_BAD_REQUEST);
+        assert!(e.message.starts_with("unknown kernel `/no/such.dr`"), "{}", e.message);
         let e = explore(&ExploreParams {
             kernel: "fir".into(),
             array: Some("nope".into()),

@@ -74,7 +74,10 @@ pub const OP_NAMES: [&str; 12] = [
 /// Parameters of an `explore` request (one signal, full sweep).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreParams {
-    /// Kernel name or `.dr` path (resolved by the kernel registry).
+    /// The kernel as text: a builtin or corpus name, inline `.dr`
+    /// source, or an einsum expression (resolved by the kernel
+    /// registry, which reads no file, so the text is the whole
+    /// computation and the cache key covers it).
     pub kernel: String,
     /// Signal to explore; defaults to the most-read array.
     pub array: Option<String>,
@@ -86,7 +89,7 @@ pub struct ExploreParams {
 /// collapsed onto a predefined memory library).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParetoParams {
-    /// Kernel name or `.dr` path.
+    /// The kernel as text, as for [`ExploreParams::kernel`].
     pub kernel: String,
     /// Signal to explore; defaults to the most-read array.
     pub array: Option<String>,
@@ -100,7 +103,7 @@ pub struct ParetoParams {
 /// Parameters of a `codegen` request (Fig. 8 template emission).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodegenParams {
-    /// Kernel name or `.dr` path.
+    /// The kernel as text, as for [`ExploreParams::kernel`].
     pub kernel: String,
     /// Signal to buffer; defaults to the most-read array.
     pub array: Option<String>,
@@ -170,7 +173,7 @@ pub enum Op {
     Pareto(ParetoParams),
     /// Full-program report over every read signal.
     Report {
-        /// Kernel name or `.dr` path.
+        /// The kernel as text, as for [`ExploreParams::kernel`].
         kernel: String,
     },
     /// Fig. 8 template emission.

@@ -32,15 +32,14 @@
 //! a structured `timeout` while the worker's eventual result still
 //! warms the cache. Shutdown is cooperative: `shutdown` flips the stop
 //! flag and wakes every loop; loops stop reading, flush what they owe,
-//! close drained connections, and exit; then the pool drains and — when
-//! `--cache-snapshot` is configured — the cache is persisted
-//! ([`crate::snapshot`]) for the next start.
+//! close drained connections, and exit; then the pool drains. The
+//! cache lives only as long as the process.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
+use std::panic;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -56,12 +55,11 @@ use crate::lock;
 use crate::ops::{self, OpError};
 use crate::pool::WorkerPool;
 use crate::protocol::{
-    err_envelope_with_flight, ok_envelope_coalesced, Op, Request, E_BAD_REQUEST, E_OVERLOADED,
-    E_SHUTTING_DOWN, E_TIMEOUT,
+    err_envelope_with_flight, ok_envelope_coalesced, Op, Request, E_BAD_REQUEST, E_INTERNAL,
+    E_OVERLOADED, E_SHUTTING_DOWN, E_TIMEOUT,
 };
 use crate::reactor::{self, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use crate::singleflight::{JoinRole, SingleFlight, Subscriber};
-use crate::snapshot;
 
 /// Most responses a connection may have outstanding before the loop
 /// stops reading from it (pipelining bound; backpressure by readiness).
@@ -96,9 +94,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Total result-cache entries across all shards; 0 disables caching.
     pub cache_entries: usize,
-    /// Cache snapshot file: loaded (after version + checksum gating) at
-    /// bind, written on graceful drain. `None` disables persistence.
-    pub snapshot_path: Option<PathBuf>,
     /// Deadline applied to requests that do not carry `deadline_ms`.
     pub default_deadline: Duration,
     /// SLO thresholds evaluated by the `health` op.
@@ -113,7 +108,6 @@ impl Default for ServerConfig {
             loops: 0,
             queue_depth: 64,
             cache_entries: 256,
-            snapshot_path: None,
             default_deadline: Duration::from_secs(30),
             slo: SloThresholds::default(),
         }
@@ -197,15 +191,11 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     loops: usize,
-    snapshot_path: Option<PathBuf>,
-    snapshot_report: Option<Result<Option<usize>, String>>,
 }
 
 impl Server {
-    /// Binds the listener, spins up the worker pool, and — when a
-    /// snapshot path is configured — warm-loads the result cache
-    /// (rejections are reported by [`Server::snapshot_load_report`],
-    /// not fatal: the server simply starts cold).
+    /// Binds the listener and spins up the worker pool over an empty
+    /// result cache.
     ///
     /// # Errors
     ///
@@ -227,25 +217,11 @@ impl Server {
             slo: config.slo.clone(),
             wakers: Mutex::new(Vec::new()),
         });
-        let snapshot_report = config
-            .snapshot_path
-            .as_ref()
-            .map(|path| snapshot::load(&shared.cache, path));
         Ok(Server {
             listener,
             shared,
             loops,
-            snapshot_path: config.snapshot_path.clone(),
-            snapshot_report,
         })
-    }
-
-    /// What the snapshot load at bind did: `None` when no snapshot path
-    /// is configured; otherwise `Ok(None)` (no file, cold start),
-    /// `Ok(Some(n))` (restored `n` entries), or `Err(reason)` (rejected
-    /// — the server started cold and the caller should log why).
-    pub fn snapshot_load_report(&self) -> Option<&Result<Option<usize>, String>> {
-        self.snapshot_report.as_ref()
     }
 
     /// The address the listener actually bound (resolves port 0).
@@ -258,13 +234,12 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request arrives, then drains in-flight
-    /// work, persists the cache snapshot (when configured), and returns.
+    /// work and returns.
     ///
     /// # Errors
     ///
-    /// When the listener cannot be switched to nonblocking mode, an
-    /// event loop dies on a socket error, or the drain snapshot cannot
-    /// be written.
+    /// When the listener cannot be switched to nonblocking mode or an
+    /// event loop dies on a socket error.
     pub fn run(self) -> Result<(), String> {
         self.listener
             .set_nonblocking(true)
@@ -311,13 +286,6 @@ impl Server {
         }
         drop(self.listener);
         self.shared.pool.drain();
-        if result.is_ok() {
-            if let Some(path) = &self.snapshot_path {
-                if self.shared.cache.enabled() {
-                    result = snapshot::save(&self.shared.cache, path).map(|_| ());
-                }
-            }
-        }
         result
     }
 }
@@ -1315,7 +1283,7 @@ impl EventLoop {
             self.deliver(
                 target,
                 &Deliver::Err(OpError {
-                    code: crate::protocol::E_INTERNAL,
+                    code: E_INTERNAL,
                     message: "compute op has no cache key".to_string(),
                 }),
             );
@@ -1373,14 +1341,30 @@ impl EventLoop {
                 );
                 return;
             }
-            let outcome = {
+            // A panic in the analysis must neither end this worker nor
+            // strand the flight: it completes with a typed `internal`
+            // error, which is never cached.
+            let outcome = panic::catch_unwind(|| {
+                #[cfg(test)]
+                tests::inject_fault(&op);
                 let _exec = span_with("execute", op.name());
-                ops::execute(&op).map(|result| {
-                    let raw: Arc<str> = Arc::from(result.to_string());
-                    shared.cache.insert(key, Arc::clone(&raw));
-                    raw
+                let result = ops::execute(&op)?;
+                let _encode = span("encode");
+                let raw: Arc<str> = Arc::from(result.to_string());
+                shared.cache.insert(key, Arc::clone(&raw));
+                Ok(raw)
+            })
+            .unwrap_or_else(|payload| {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                Err(OpError {
+                    code: E_INTERNAL,
+                    message: format!("the computation panicked: {what}"),
                 })
-            };
+            });
             shared.flights.complete(key, &outcome);
         });
         if self.shared.pool.try_submit(job).is_err() {
@@ -1406,12 +1390,29 @@ impl EventLoop {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, BufWriter, Write};
+    use std::sync::MutexGuard;
 
-    fn start(config: ServerConfig) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    /// The kernel text whose served job panics on the worker.
+    const PANIC_KERNEL: &str = "test-fault:panic";
+
+    /// The fault hook the worker runs before each job's execute.
+    pub(super) fn inject_fault(op: &Op) {
+        if matches!(op, Op::Explore(p) if p.kernel == PANIC_KERNEL) {
+            panic!("injected fault");
+        }
+    }
+
+    /// Starts a server on an ephemeral port. The guard serializes the
+    /// tests that serve requests (see [`crate::serial_test`]); hold it
+    /// until the server has shut down.
+    fn start(
+        config: ServerConfig,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>, MutexGuard<'static, ()>) {
+        let serial = crate::serial_test();
         let server = Server::bind(&config).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
-        (addr, handle)
+        (addr, handle, serial)
     }
 
     fn roundtrip(addr: std::net::SocketAddr, lines: &[&str]) -> Vec<Json> {
@@ -1431,7 +1432,7 @@ mod tests {
 
     #[test]
     fn ping_explore_and_shutdown_over_a_real_socket() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 2,
             ..ServerConfig::default()
         });
@@ -1470,7 +1471,10 @@ mod tests {
 
     #[test]
     fn stats_span_rows_partition_and_round_trip_byte_identically() {
-        let (addr, handle) = start(ServerConfig {
+        // Spans record only while metrics are on; run alone, this test
+        // must turn them on itself.
+        datareuse_obs::set_metrics_enabled(true);
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 2,
             ..ServerConfig::default()
         });
@@ -1520,7 +1524,7 @@ mod tests {
 
     #[test]
     fn memstats_op_reports_allocator_tallies_and_serve_attribution() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 2,
             ..ServerConfig::default()
         });
@@ -1568,7 +1572,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_come_back_in_request_order() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
             ..ServerConfig::default()
         });
@@ -1607,7 +1611,7 @@ mod tests {
 
     #[test]
     fn a_batch_answers_every_sub_request_in_one_envelope() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
             ..ServerConfig::default()
         });
@@ -1656,7 +1660,7 @@ mod tests {
 
     #[test]
     fn stats_and_health_report_on_a_live_server() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
             ..ServerConfig::default()
         });
@@ -1708,7 +1712,7 @@ mod tests {
         // Latency histograms only record while metrics are on (the CLI
         // turns them on for `serve`; unit tests must opt in).
         datareuse_obs::set_metrics_enabled(true);
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
             slo: SloThresholds {
                 p99_latency: Duration::ZERO,
@@ -1741,7 +1745,7 @@ mod tests {
 
     #[test]
     fn a_zero_deadline_times_out_with_a_structured_error() {
-        let (addr, handle) = start(ServerConfig {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
             ..ServerConfig::default()
         });
@@ -1777,53 +1781,85 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_round_trip_survives_a_restart() {
-        let path = std::env::temp_dir().join(format!(
-            "datareuse-server-snap-{}.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let config = ServerConfig {
+    fn a_panicking_job_is_answered_internal_and_the_worker_lives_on() {
+        let (addr, handle, _serial) = start(ServerConfig {
             threads: 1,
-            snapshot_path: Some(path.clone()),
             ..ServerConfig::default()
-        };
-        // First life: compute once (miss), then shut down — the drain
-        // writes the snapshot.
-        let (addr, handle) = start(config.clone());
-        let first = roundtrip(
+        });
+        let fault = format!(r#"{{"op":"explore","kernel":"{PANIC_KERNEL}"}}"#);
+        // The same request twice: the second would wait out its deadline
+        // as a follower if the first had left its flight open, and would
+        // be a cache hit if the error had been cached.
+        let responses = roundtrip(
             addr,
             &[
-                r#"{"op":"explore","kernel":"fir","id":1}"#,
+                &fault,
+                &fault,
+                r#"{"op":"explore","kernel":"fir"}"#,
                 r#"{"op":"shutdown"}"#,
             ],
         );
-        assert_eq!(first[0].get("cached").and_then(Json::as_bool), Some(false));
+        for doc in &responses[..2] {
+            let error = doc.get("error").expect("error envelope");
+            assert_eq!(error.get("code").and_then(Json::as_str), Some(E_INTERNAL), "{doc}");
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("injected fault"), "{message}");
+            assert_eq!(doc.get("cached").and_then(Json::as_bool), None, "{doc}");
+        }
+        // The only worker survived and computes the next request.
+        assert_eq!(responses[2].get("ok").and_then(Json::as_bool), Some(true), "{}", responses[2]);
         handle.join().unwrap();
-        assert!(path.exists(), "drain wrote the snapshot");
-        // Second life: the very first request is already a cache hit,
-        // with byte-identical result content.
-        let server = Server::bind(&config).unwrap();
-        assert_eq!(
-            server.snapshot_load_report(),
-            Some(&Ok(Some(1))),
-            "warm start restored the entry"
-        );
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-        let second = roundtrip(
-            addr,
-            &[
-                r#"{"op":"explore","kernel":"fir","id":1}"#,
-                r#"{"op":"shutdown"}"#,
-            ],
-        );
-        assert_eq!(second[0].get("cached").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            first[0].get("result").map(Json::to_string),
-            second[0].get("result").map(Json::to_string)
-        );
-        handle.join().unwrap();
-        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `(ns, self_ns)` of the span row `path` in a `stats` response.
+    fn span_row(stats: &Json, path: &str) -> (u64, u64) {
+        let rows = stats.get("result").and_then(|r| r.get("spans")).and_then(Json::as_array);
+        rows.into_iter()
+            .flatten()
+            .find(|row| row.get("path").and_then(Json::as_str) == Some(path))
+            .map_or((0, 0), |row| {
+                let field = |key| row.get(key).and_then(Json::as_u64).unwrap_or(0);
+                (field("ns"), field("self_ns"))
+            })
+    }
+
+    #[test]
+    fn a_served_execute_keeps_little_self_time() {
+        // Spans record only while metrics are on (the CLI turns them on
+        // for `serve`; unit tests must opt in).
+        datareuse_obs::set_metrics_enabled(true);
+        // Self time is wall clock, so one scheduling hiccup can inflate
+        // it: the best of three cold runs must pass.
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let (addr, handle, _serial) = start(ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            });
+            let responses = roundtrip(
+                addr,
+                &[
+                    r#"{"op":"stats"}"#,
+                    r#"{"op":"explore","kernel":"fir"}"#,
+                    r#"{"op":"stats"}"#,
+                    r#"{"op":"shutdown"}"#,
+                ],
+            );
+            handle.join().unwrap();
+            assert_eq!(responses[1].get("cached").and_then(Json::as_bool), Some(false));
+            for child in ["execute/load", "execute/encode"] {
+                assert!(span_row(&responses[2], child).0 > 0, "no `{child}` row");
+            }
+            // Span rows are process-wide, so the execute row's growth
+            // across the explore is this request's share.
+            let before = span_row(&responses[0], "execute");
+            let after = span_row(&responses[2], "execute");
+            let (total, own) = (after.0 - before.0, after.1 - before.1);
+            best = best.min(own as f64 / total as f64);
+            if best <= 0.10 {
+                return;
+            }
+        }
+        panic!("`execute` self time is {:.0}% of `execute` at best", best * 100.0);
     }
 }

@@ -94,6 +94,42 @@ fn every_serve_metric_in_code_is_documented() {
     }
 }
 
+/// The part of `doc` from `start` up to the next `end` after it.
+fn between<'a>(doc: &'a str, start: &str, end: &str) -> &'a str {
+    let from = doc.find(start).unwrap_or_else(|| panic!("no `{start}` in the doc"));
+    let to = doc[from..].find(end).map_or(doc.len(), |i| from + i);
+    &doc[from..to]
+}
+
+#[test]
+fn every_serve_metric_the_docs_name_exists_in_code() {
+    // The reverse of the check above: a `serve_*` or `alloc_*` metric
+    // in the runbook's metrics table or the guide's registry reference
+    // must still be emitted, so a deleted metric cannot linger there.
+    let counters = Counter::ALL.iter().map(|c| c.name());
+    let gauges = Gauge::ALL.iter().map(|g| g.name());
+    let hists = Hist::ALL.iter().map(|h| h.name());
+    let names: BTreeSet<&str> = counters.chain(gauges).chain(hists).collect();
+    let serving = repo_file("docs/SERVING.md");
+    let guide = repo_file("docs/OBSERVABILITY.md");
+    let mut checked = 0;
+    for (file, text) in [
+        ("docs/SERVING.md", between(&serving, "## Metrics reference", "\n## ")),
+        ("docs/OBSERVABILITY.md", between(&guide, "## Counters", "\n## Spans")),
+    ] {
+        for name in text.split('`').skip(1).step_by(2) {
+            if name.starts_with("serve_") || name.starts_with("alloc_") {
+                assert!(
+                    names.contains(name),
+                    "{file} documents `{name}`, which no Counter, Gauge or Hist emits"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 20, "only {checked} documented serve metrics found");
+}
+
 #[test]
 fn every_protocol_error_code_is_documented() {
     let doc = repo_file("docs/SERVING.md");
