@@ -4,22 +4,20 @@
 //! designer; [`ExplorationReport`] is the equivalent structured summary.
 //! It holds typed values — the signal's copy-candidates and its Pareto
 //! front, built once — and every output renders from them: `Display` as
-//! an aligned text report, [`ExplorationReport::to_json_value`] as the
-//! JSON the served ops return, and [`ExplorationReport::to_json`] as its
-//! one-line text. Building runs under a `report` span, and `Display`
-//! and `to_json_value` under a `render` span.
+//! an aligned text report under a `render` span, and
+//! [`ExplorationReport::to_json`] as the one-line JSON document that
+//! `explore --json` prints and the served ops return. Building runs
+//! under a `report` span; callers open `render` around `to_json`.
 //!
-//! The workspace is hermetic (standard library only, no crates.io), so
-//! JSON is emitted through the small hand-rolled [`Json`] value from the
-//! observability crate (re-exported here) instead of a serde derive. It
-//! covers exactly what the tool needs: objects, arrays, strings with
-//! escaping, integers, and floats — plus a [`Json::parse`] reader for
-//! consuming the artifacts back.
+//! The workspace is hermetic (standard library only, no crates.io).
+//! `to_json` writes its text in one pass with the escaping and number
+//! rules of the [`Json`] writer (re-exported here with its
+//! [`Json::parse`] reader), so no `Json` tree is built.
 
 use std::fmt;
 
 use datareuse_memmodel::{chain_breakdown, AreaModel, MemoryTechnology};
-use datareuse_obs::{span, Explain};
+use datareuse_obs::{span, write_escaped, write_num, Explain};
 
 use crate::explain::candidate_why;
 use crate::explore::{ExploreOptions, SignalExploration};
@@ -158,7 +156,8 @@ impl ExplorationReport {
 
 impl ExplorationReport {
     /// The report as a single-line JSON document, for machine consumers
-    /// (`datareuse explore … --json`).
+    /// (`datareuse explore … --json` and the served `explore` and
+    /// `report` ops).
     ///
     /// # Examples
     ///
@@ -181,50 +180,74 @@ impl ExplorationReport {
     /// # }
     /// ```
     pub fn to_json(&self) -> String {
-        self.json().to_string()
+        let mut out = String::with_capacity(self.json_len_floor());
+        self.write_json(&mut out).expect("a String accepts every write");
+        out
     }
 
-    /// The report as a JSON value, which the served `explore` and
-    /// `report` ops return as their result, encoded under a `render`
-    /// span. (The CLI opens that span itself around [`Self::to_json`]
-    /// and the write of its text.)
-    pub fn to_json_value(&self) -> Json {
-        let _timer = span("render");
-        self.json()
+    /// Writes [`Self::to_json`]'s document to `out` in one pass from the
+    /// typed fields, with no intermediate [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Only those of `out` itself; a `String` never fails.
+    pub fn write_json(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("{\"array\":")?;
+        write_escaped(out, &self.array)?;
+        out.write_str(",\"c_tot\":")?;
+        write!(out, "{}", self.c_tot)?;
+        out.write_str(",\"background_words\":")?;
+        write!(out, "{}", self.background_words)?;
+        out.write_str(",\"candidates\":[")?;
+        for (i, c) in self.candidates.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            out.write_str("{\"source\":")?;
+            write_escaped(out, &describe_source(c.source))?;
+            out.write_str(",\"size\":")?;
+            write!(out, "{}", c.size)?;
+            out.write_str(",\"reuse_factor\":")?;
+            write_num(out, c.reuse_factor())?;
+            out.write_str(if c.exact { ",\"exact\":true}" } else { ",\"exact\":false}" })?;
+        }
+        out.write_str("],\"pareto\":[")?;
+        for (i, row) in self.pareto.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            out.write_str("{\"level_sizes\":[")?;
+            for (j, &size) in row.level_sizes.iter().enumerate() {
+                if j > 0 {
+                    out.write_char(',')?;
+                }
+                write!(out, "{size}")?;
+            }
+            out.write_str("],\"onchip_words\":")?;
+            write!(out, "{}", row.onchip_words)?;
+            out.write_str(",\"normalized_power\":")?;
+            write_num(out, row.normalized_power)?;
+            out.write_str(",\"background_share\":")?;
+            write_num(out, row.background_share)?;
+            out.write_char('}')?;
+        }
+        out.write_str("],\"why\":[")?;
+        for (i, line) in self.why.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            write_escaped(out, line)?;
+        }
+        out.write_str("]}")
     }
 
-    fn json(&self) -> Json {
-        Json::obj([
-            ("array", Json::str(&self.array)),
-            ("c_tot", Json::UInt(self.c_tot)),
-            ("background_words", Json::UInt(self.background_words)),
-            (
-                "candidates",
-                Json::arr(self.candidates.iter().map(|c| {
-                    Json::obj([
-                        ("source", Json::str(describe_source(c.source))),
-                        ("size", Json::UInt(c.size)),
-                        ("reuse_factor", Json::Num(c.reuse_factor())),
-                        ("exact", Json::Bool(c.exact)),
-                    ])
-                })),
-            ),
-            (
-                "pareto",
-                Json::arr(self.pareto.iter().map(|row| {
-                    Json::obj([
-                        (
-                            "level_sizes",
-                            Json::arr(row.level_sizes.iter().map(|&s| Json::UInt(s))),
-                        ),
-                        ("onchip_words", Json::UInt(row.onchip_words)),
-                        ("normalized_power", Json::Num(row.normalized_power)),
-                        ("background_share", Json::Num(row.background_share)),
-                    ])
-                })),
-            ),
-            ("why", Json::arr(self.why.iter().map(Json::str))),
-        ])
+    /// A lower bound on the length of [`Self::to_json`]: the fixed key
+    /// text of each record plus one byte per number, so the reservation
+    /// never exceeds the output.
+    fn json_len_floor(&self) -> usize {
+        let levels: usize = self.pareto.iter().map(|row| row.level_sizes.len()).sum();
+        let why: usize = self.why.iter().map(|line| line.len() + 2).sum();
+        80 + self.array.len() + 60 * self.candidates.len() + 76 * self.pareto.len() + 2 * levels + why
     }
 }
 
@@ -316,8 +339,6 @@ mod tests {
         );
         let json = r.to_json();
         assert!(json.starts_with("{\"array\":\"A\""));
-        // The served ops return the value; its text is the CLI's line.
-        assert_eq!(r.to_json_value().to_string(), json);
         // Round-trip through the in-repo reader: the document is
         // well-formed and candidate/Pareto counts survive the encoding.
         let parsed = Json::parse(&json).expect("report JSON must parse");

@@ -461,31 +461,49 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a JSON string literal: quoted, with `"`, `\\`, `\n`,
+/// `\r`, `\t` escaped by name and the other control characters as
+/// `\u00XX`. Each unescaped run is copied with one `write_str`; every
+/// escaped byte is ASCII, so runs always end on a character boundary.
+pub fn write_escaped<W: fmt::Write + ?Sized>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            w.write_str(&s[run..i])?;
+            match b {
+                b'"' => w.write_str("\\\""),
+                b'\\' => w.write_str("\\\\"),
+                b'\n' => w.write_str("\\n"),
+                b'\r' => w.write_str("\\r"),
+                b'\t' => w.write_str("\\t"),
+                _ => write!(w, "\\u{b:04x}"),
+            }?;
+            run = i + 1;
         }
     }
-    f.write_str("\"")
+    w.write_str(&s[run..])?;
+    w.write_char('"')
+}
+
+/// Writes a JSON number: a finite `x` as its shortest round-trip `{}`
+/// form, anything else as `null` (JSON has no NaN or infinity).
+pub fn write_num<W: fmt::Write + ?Sized>(w: &mut W, x: f64) -> fmt::Result {
+    if x.is_finite() {
+        write!(w, "{x}")
+    } else {
+        w.write_str("null")
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Null => f.write_str("null"),
-            Self::Bool(b) => write!(f, "{b}"),
-            Self::UInt(n) => write!(f, "{n}"),
-            Self::Int(n) => write!(f, "{n}"),
-            Self::Num(x) if x.is_finite() => write!(f, "{x}"),
-            Self::Num(_) => f.write_str("null"),
+            Self::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Self::UInt(n) => n.fmt(f),
+            Self::Int(n) => n.fmt(f),
+            Self::Num(x) => write_num(f, *x),
             Self::Str(s) => write_escaped(f, s),
             Self::Arr(items) => {
                 f.write_str("[")?;
@@ -493,7 +511,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -505,7 +523,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }

@@ -106,7 +106,7 @@ pub use flight::{
     FLIGHT_ERROR_TAIL,
 };
 pub use hist::{hist_snapshot, record_hist, Hist, HistSnapshot, Histogram};
-pub use json::{Json, JsonParseError};
+pub use json::{write_escaped, write_num, Json, JsonParseError};
 pub use metrics::{
     add, counter_value, gauge_add, gauge_max, gauge_sub, gauge_value, metrics_enabled,
     reset_metrics, set_metrics_enabled, snapshot, Counter, Gauge,

@@ -181,10 +181,15 @@ impl Shrink for f64 {
 impl Shrink for String {
     fn shrinks(&self) -> Vec<Self> {
         if self.is_empty() {
-            Vec::new()
-        } else {
-            vec![String::new(), self[..self.len() / 2].to_string()]
+            return Vec::new();
         }
+        // The first half, cut at a character boundary: a byte cut inside
+        // a multi-byte character would panic while reporting a failure.
+        let mut half = self.len() / 2;
+        while !self.is_char_boundary(half) {
+            half -= 1;
+        }
+        vec![String::new(), self[..half].to_string()]
     }
 }
 
@@ -531,5 +536,12 @@ mod tests {
         for v in [0u64, 1, 2, 99] {
             assert!(!v.shrinks().contains(&v));
         }
+    }
+
+    #[test]
+    fn string_shrinking_cuts_at_character_boundaries() {
+        assert_eq!("\\€\n".to_string().shrinks(), ["", "\\"]);
+        assert_eq!("γγ".to_string().shrinks(), ["", "γ"]);
+        assert_eq!("😀".to_string().shrinks(), ["", ""]);
     }
 }

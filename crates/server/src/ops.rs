@@ -1,6 +1,8 @@
 //! Execution of the serving operations.
 //!
-//! One op = one pure function from a request body to a JSON result.
+//! One op = one pure function from a request body to the text of its
+//! JSON result, encoded once: that text is what the cache stores and
+//! what the wire carries.
 //! The CLI's one-shot subcommands route through the same entry points
 //! (`datareuse explore --json` and the server's `explore` call the same
 //! report builder on the same registry-loaded kernel), which is what
@@ -76,17 +78,19 @@ fn options(depth: Option<usize>) -> ExploreOptions {
 
 /// Runs `explore`: the pairwise reuse sweep and Pareto report for one
 /// signal, exactly as `datareuse explore <kernel> --json` prints it.
-pub fn explore(params: &ExploreParams) -> Result<Json, OpError> {
+pub fn explore(params: &ExploreParams) -> Result<String, OpError> {
     let (program, array) = resolve(&params.kernel, params.array.as_deref())?;
     let opts = options(params.depth);
     let ex = explore_signal(&program, &array, &opts)
         .map_err(|e| OpError::bad(e.to_string()))?;
-    Ok(ExplorationReport::build(&ex, &opts, &MemoryTechnology::new(), &BitCount).to_json_value())
+    let report = ExplorationReport::build(&ex, &opts, &MemoryTechnology::new(), &BitCount);
+    let _render = span("render");
+    Ok(report.to_json())
 }
 
 /// Runs `report`: one explore document per read signal of the program,
 /// exactly as `datareuse report <kernel> --json` prints it.
-pub fn report(kernel: &str) -> Result<Json, OpError> {
+pub fn report(kernel: &str) -> Result<String, OpError> {
     let program = {
         let _load = span("load");
         load_kernel(kernel).map_err(OpError::bad)?
@@ -95,16 +99,24 @@ pub fn report(kernel: &str) -> Result<Json, OpError> {
     let tech = MemoryTechnology::new();
     let explorations =
         explore_program(&program, &opts).map_err(|e| OpError::bad(e.to_string()))?;
-    Ok(Json::arr(explorations.iter().map(|ex| {
-        ExplorationReport::build(ex, &opts, &tech, &BitCount).to_json_value()
-    })))
+    let mut out = String::from("[");
+    for (i, ex) in explorations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let report = ExplorationReport::build(ex, &opts, &tech, &BitCount);
+        let _render = span("render");
+        report.write_json(&mut out).expect("a String accepts every write");
+    }
+    out.push(']');
+    Ok(out)
 }
 
 /// Runs `pareto`: enumerates and costs the copy-candidate chains of one
 /// signal and returns the power–size Pareto front; with a `library`, each
 /// front hierarchy is additionally collapsed onto the physical sizes
 /// (`datareuse_memmodel::MemoryLibrary::collapse`).
-pub fn pareto(params: &ParetoParams) -> Result<Json, OpError> {
+pub fn pareto(params: &ParetoParams) -> Result<String, OpError> {
     let (program, array) = resolve(&params.kernel, params.array.as_deref())?;
     let opts = options(params.depth);
     let ex = explore_signal(&program, &array, &opts)
@@ -158,7 +170,7 @@ pub fn pareto(params: &ParetoParams) -> Result<Json, OpError> {
             ),
         );
     }
-    Ok(Json::Obj(doc))
+    Ok(Json::Obj(doc).to_string())
 }
 
 /// Emits the Fig. 8 template for `array` in `program` under `spec` —
@@ -207,15 +219,15 @@ pub fn codegen_text(
 
 /// Runs `codegen` for a request: resolves the kernel and array, emits
 /// the template, and wraps it as `{"code": "..."}`.
-pub fn codegen(params: &CodegenParams) -> Result<Json, OpError> {
+pub fn codegen(params: &CodegenParams) -> Result<String, OpError> {
     let (program, array) = resolve(&params.kernel, params.array.as_deref())?;
     let code = codegen_text(&program, &array, &params.spec).map_err(OpError::bad)?;
-    Ok(Json::obj([("code", Json::Str(code))]))
+    Ok(Json::obj([("code", Json::Str(code))]).to_string())
 }
 
 /// Executes a work op (not the control/introspection ops, which the
-/// server answers inline) into its `result` document.
-pub fn execute(op: &Op) -> Result<Json, OpError> {
+/// server answers inline) into the text of its `result` document.
+pub fn execute(op: &Op) -> Result<String, OpError> {
     match op {
         Op::Explore(params) => explore(params),
         Op::Pareto(params) => pareto(params),
@@ -249,7 +261,7 @@ mod tests {
             array: Some("Old".into()),
             depth: None,
         };
-        let via_op = explore(&params).unwrap().to_string();
+        let via_op = explore(&params).unwrap();
         let program = load_kernel("me-small").unwrap();
         let opts = ExploreOptions::default();
         let ex = explore_signal(&program, "Old", &opts).unwrap();
@@ -274,7 +286,7 @@ mod tests {
             depth: None,
             library: Some(vec![16, 64, 256, 1024]),
         };
-        let doc = pareto(&params).unwrap();
+        let doc = Json::parse(&pareto(&params).unwrap()).unwrap();
         let points = doc.get("points").and_then(Json::as_array).unwrap();
         assert!(!points.is_empty());
         for p in points {
@@ -308,7 +320,7 @@ mod tests {
 
     #[test]
     fn codegen_emits_the_template_through_the_shared_path() {
-        let doc = codegen(&CodegenParams {
+        let doc = Json::parse(&codegen(&CodegenParams {
             kernel: "me-small".into(),
             array: Some("Old".into()),
             spec: CodegenSpec {
@@ -317,6 +329,7 @@ mod tests {
                 ..CodegenSpec::default()
             },
         })
+        .unwrap())
         .unwrap();
         let code = doc.get("code").and_then(Json::as_str).unwrap();
         assert!(code.contains("Old_sub"));

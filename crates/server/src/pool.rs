@@ -15,6 +15,7 @@
 //! workers are joined.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -69,7 +70,9 @@ impl WorkerPool {
                         }
                     };
                     match job {
-                        Some(job) => job(),
+                        // A panic that escapes the job ends the job,
+                        // not the worker: the pool keeps its size.
+                        Some(job) => drop(panic::catch_unwind(AssertUnwindSafe(job))),
                         None => return,
                     }
                 })
@@ -150,6 +153,21 @@ mod tests {
         }
         pool.drain();
         assert_eq!(done.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_worker_running() {
+        let pool = WorkerPool::new(1, 4);
+        let done = Arc::new(AtomicUsize::new(0));
+        pool.try_submit(Box::new(|| panic!("job panics outside any catch")))
+            .unwrap_or_else(|_| panic!("queue has room"));
+        let after = Arc::clone(&done);
+        pool.try_submit(Box::new(move || {
+            after.fetch_add(1, Ordering::SeqCst);
+        }))
+        .unwrap_or_else(|_| panic!("queue has room"));
+        pool.drain();
+        assert_eq!(done.load(Ordering::SeqCst), 1, "the one worker ran the next job");
     }
 
     #[test]

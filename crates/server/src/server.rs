@@ -1348,9 +1348,9 @@ impl EventLoop {
                 #[cfg(test)]
                 tests::inject_fault(&op);
                 let _exec = span_with("execute", op.name());
-                let result = ops::execute(&op)?;
+                let text = ops::execute(&op)?;
                 let _encode = span("encode");
-                let raw: Arc<str> = Arc::from(result.to_string());
+                let raw: Arc<str> = Arc::from(text);
                 shared.cache.insert(key, Arc::clone(&raw));
                 Ok(raw)
             })
