@@ -809,3 +809,146 @@ fn inline_dr_source_matches_the_cli_and_is_keyed_by_its_content() {
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true), "{doc}");
     server.shutdown();
 }
+
+/// A 2-deep sliding window `read A[i + j]` with `i, j in 0..10⁴`: its
+/// `explore --json` document is about 2.2 MB.
+const WINDOW_KERNEL: &str =
+    "array A[20000];\nfor i in 0..10000 { for j in 0..10000 { read A[i + j]; } }\n";
+
+/// A client that reads multi-megabyte responses 4 KiB at a time gets
+/// every byte the CLI prints for the same kernel, while the server's
+/// writes to it come back partial: four pipelined 2.2 MB hits, read
+/// only after a pause, are more than the socket buffers hold.
+#[test]
+fn a_slow_reader_receives_multi_megabyte_results_byte_identical_to_the_cli() {
+    use std::io::Read;
+    let path = std::env::temp_dir().join(format!("datareuse_serve_window_{}.dr", std::process::id()));
+    std::fs::write(&path, WINDOW_KERNEL).unwrap();
+    let expected = one_shot_stdout(&["explore", path.to_str().unwrap(), "--json"]);
+    let _ = std::fs::remove_file(&path);
+    let expected = expected.trim();
+    assert!(expected.len() >= 1 << 20, "the window result is {} bytes", expected.len());
+    let server = ServerProc::spawn(&["--threads", "1"]);
+    let mut stream = TcpStream::connect(&server.addr).expect("connects");
+    // Lost bytes fail the test instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // First one request that computes, then four pipelined hits.
+    for ids in [&[1][..], &[2, 3, 4, 5]] {
+        let mut lines = String::new();
+        let mut want = String::new();
+        for &id in ids {
+            lines.push_str(&kernel_request("explore", WINDOW_KERNEL, &format!(r#""id":{id}"#)));
+            lines.push('\n');
+            let cached = id > 1;
+            want.push_str(&format!(
+                r#"{{"ok":true,"id":{id},"cached":{cached},"result":{expected}}}"#
+            ));
+            want.push('\n');
+        }
+        stream.write_all(lines.as_bytes()).unwrap();
+        // Stalled, the client lets the server fill the socket buffers.
+        std::thread::sleep(Duration::from_millis(200));
+        let mut received = Vec::with_capacity(want.len());
+        let mut buf = [0u8; 4096];
+        let mut reads = 0u32;
+        while received.len() < want.len() {
+            let n = stream.read(&mut buf).expect("reads");
+            assert!(n > 0, "server closed after {} of {} bytes", received.len(), want.len());
+            received.extend_from_slice(&buf[..n]);
+            reads += 1;
+            if reads % 64 == 0 {
+                // Let the server's socket buffer fill between bursts.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let first_diff = received.iter().zip(want.as_bytes()).position(|(a, b)| a != b);
+        assert_eq!(first_diff, None, "requests {ids:?} differ from the CLI bytes");
+        assert_eq!(received.len(), want.len(), "requests {ids:?} received extra bytes");
+    }
+    server.shutdown();
+}
+
+/// Sends `request` `count` times in one write and reads the responses
+/// one line at a time; returns each line's length after `check` has
+/// seen its head.
+fn pipeline(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    request: &str,
+    count: usize,
+    check: impl Fn(&str),
+) -> Vec<usize> {
+    writer.write_all(format!("{request}\n").repeat(count).as_bytes()).unwrap();
+    let mut line = String::new();
+    (0..count)
+        .map(|_| {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            check(&line[..line.len().min(80)]);
+            line.len()
+        })
+        .collect()
+}
+
+/// The server's `(bytes_allocated, allocs)` so far, from `memstats`.
+fn allocator_tally(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> (u64, u64) {
+    writeln!(writer, r#"{{"op":"memstats"}}"#).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let doc = Json::parse(&line).expect("memstats parses");
+    let field = |key: &str| {
+        doc.get("result")
+            .and_then(|r| r.get("allocator"))
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("memstats has no allocator.{key}: {line}"))
+    };
+    (field("bytes_allocated"), field("allocs"))
+}
+
+/// The per-hit allocation pin: `memstats` around 100 pipelined cache
+/// hits on one connection, after a round that computed the result and
+/// grew the connection's buffers. A hit copies the cached result once,
+/// into the write buffer, and allocates nothing that grows with it, so
+/// a `fir` hit (13.6 KB) and a hit on a 2.2 MB result cost the same
+/// few hundred bytes. Before hits were written straight into the write
+/// buffer, a `fir` hit allocated about 14.5 KB.
+#[test]
+fn a_cache_hit_allocates_the_same_few_hundred_bytes_whatever_the_result_size() {
+    const HITS: usize = 100;
+    let server = ServerProc::spawn(&["--threads", "1"]);
+    let mut writer = TcpStream::connect(&server.addr).expect("connects");
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut per_hit = |kernel: &str| {
+        let request = kernel_request("explore", kernel, r#""id":0"#);
+        pipeline(&mut writer, &mut reader, &request, HITS, |head| {
+            assert!(head.starts_with(r#"{"ok":true"#), "{head}");
+        });
+        let before = allocator_tally(&mut writer, &mut reader);
+        let lengths = pipeline(&mut writer, &mut reader, &request, HITS, |head| {
+            assert!(head.starts_with(r#"{"ok":true,"id":0,"cached":true,"#), "{head}");
+        });
+        let after = allocator_tally(&mut writer, &mut reader);
+        let hits = HITS as f64;
+        let bytes = (after.0 - before.0) as f64 / hits;
+        let allocs = (after.1 - before.1) as f64 / hits;
+        (lengths[0], bytes, allocs)
+    };
+    let sets = [per_hit("fir"), per_hit("B[i]+=A[i+j] where i=10000,j=10000")];
+    server.shutdown();
+    let report = sets
+        .iter()
+        .map(|(len, bytes, allocs)| {
+            format!("{len} B response: {bytes:.1} B in {allocs:.2} allocations per hit")
+        })
+        .collect::<Vec<_>>()
+        .join("; ");
+    assert!(sets[1].0 >= 1 << 20, "the large result is under 1 MiB: {report}");
+    for (_, bytes, _) in sets {
+        assert!(bytes <= 1024.0, "a hit allocates more than 1 KiB: {report}");
+    }
+    assert!(
+        (sets[1].1 - sets[0].1).abs() < 64.0,
+        "a hit's allocation grows with its result: {report}"
+    );
+}

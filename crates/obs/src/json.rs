@@ -178,6 +178,7 @@ impl Json {
     /// ```
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -210,6 +211,7 @@ impl fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Currently open containers (objects + arrays); bounded by
@@ -393,18 +395,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction from &str).
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte at once, so an unescaped string is
+                    // one exact-size allocation. Those bytes are ASCII, so
+                    // the run ends on a character boundary of the input.
                     let start = self.pos;
-                    self.pos += 1;
                     while self
                         .bytes
                         .get(self.pos)
-                        .is_some_and(|&b| b & 0xC0 == 0x80)
+                        .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
                     {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

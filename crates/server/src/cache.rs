@@ -5,8 +5,10 @@
 //! enough to recompute but heavily repeated — the same `explore
 //! me-small` arrives from every client. Keys are the canonical FNV-1a
 //! request hashes ([`crate::protocol::cache_key`]); values are the
-//! serialized `result` documents, stored behind `Arc<str>` so a hit
-//! hands bytes to the response writer without copying.
+//! serialized `result` documents, stored behind `Arc<str>`. A hit
+//! clones the `Arc`, not the text: the response slot holds the shared
+//! bytes until the flush writes the envelope into the connection's
+//! write buffer, which is the one copy a hit makes.
 //!
 //! The map is split into [`ResultCache::SHARDS`] independently locked
 //! shards (keyed by the low bits of the hash) so concurrent worker

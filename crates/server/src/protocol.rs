@@ -46,8 +46,10 @@
 //! two requests that differ only in `id`/`deadline_ms` are the same
 //! computation (see [`cache_key`]).
 
+use std::fmt;
+
 use datareuse_codegen::Strategy;
-use datareuse_obs::Json;
+use datareuse_obs::{write_escaped, Json};
 
 /// Error code for a request the server could not parse or validate.
 pub const E_BAD_REQUEST: &str = "bad_request";
@@ -278,8 +280,22 @@ fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
     }
 }
 
-fn require_kernel(v: &Json) -> Result<String, String> {
-    get_str(v, "kernel").ok_or_else(|| "missing `kernel` (string)".to_string())
+/// Moves the value of `key` out of the object `v`, leaving `null`.
+fn take(v: &mut Json, key: &str) -> Option<Json> {
+    match v {
+        Json::Obj(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, val)| std::mem::replace(val, Json::Null)),
+        _ => None,
+    }
+}
+
+fn require_kernel(v: &mut Json) -> Result<String, String> {
+    match take(v, "kernel") {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err("missing `kernel` (string)".to_string()),
+    }
 }
 
 impl Request {
@@ -291,19 +307,18 @@ impl Request {
     /// malformed JSON, a non-object document, a missing or unknown `op`,
     /// or ill-typed parameters.
     pub fn parse_line(line: &str) -> Result<Request, String> {
-        let doc = Json::parse(line).map_err(|e| e.to_string())?;
-        Request::from_json(&doc)
+        let mut doc = Json::parse(line).map_err(|e| e.to_string())?;
+        Request::decode(&mut doc)
     }
 
-    /// Parses an already-decoded request document.
-    ///
-    /// # Errors
-    ///
-    /// See [`Request::parse_line`].
-    pub fn from_json(doc: &Json) -> Result<Request, String> {
+    /// Decodes `doc`, moving its kernel text, sub-requests and id out
+    /// of it rather than copying them.
+    fn decode(doc: &mut Json) -> Result<Request, String> {
         if doc.entries().is_none() {
             return Err("request must be a JSON object".to_string());
         }
+        // Hashed before anything is moved out; kept for cacheable ops.
+        let key = cache_key(doc);
         let op_name = doc
             .get("op")
             .and_then(Json::as_str)
@@ -391,10 +406,9 @@ impl Request {
             "ping" => Op::Ping,
             "shutdown" => Op::Shutdown,
             "batch" => {
-                let items = doc
-                    .get("requests")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| "`batch` needs a `requests` array".to_string())?;
+                let Some(Json::Arr(items)) = take(doc, "requests") else {
+                    return Err("`batch` needs a `requests` array".to_string());
+                };
                 if items.is_empty() {
                     return Err("`batch` requests array is empty".to_string());
                 }
@@ -405,8 +419,8 @@ impl Request {
                     ));
                 }
                 let mut requests = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let sub = Request::from_json(item)
+                for (i, mut item) in items.into_iter().enumerate() {
+                    let sub = Request::decode(&mut item)
                         .map_err(|e| format!("batch request {i}: {e}"))?;
                     match sub.op {
                         Op::Shutdown => {
@@ -424,70 +438,173 @@ impl Request {
             }
             other => return Err(format!("unknown op `{other}`")),
         };
-        let cache_key = op.cacheable().then(|| cache_key(doc));
         Ok(Request {
-            id: doc.get("id").cloned(),
+            id: take(doc, "id"),
             deadline_ms,
+            cache_key: op.cacheable().then_some(key),
             op,
-            cache_key,
         })
     }
 }
 
 /// 64-bit FNV-1a over `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    hash.feed(bytes);
+    hash.0
 }
 
-/// Recursively sorts object keys so semantically identical documents
-/// serialize identically (the writer preserves insertion order).
-fn canonicalize(v: &Json) -> Json {
+/// A running 64-bit FNV-1a hash that is also a [`fmt::Write`] sink, so
+/// a document can be hashed as it is serialized, without its text.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn feed(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Writes `v` as [`Json`]'s `Display` would after sorting every
+/// object's keys (a stable sort, so repeated keys keep their order),
+/// leaving out the top-level entries named in `skip`.
+fn write_canonical(out: &mut impl fmt::Write, v: &Json, skip: &[&str]) -> fmt::Result {
     match v {
-        Json::Arr(items) => Json::Arr(items.iter().map(canonicalize).collect()),
+        Json::Arr(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_canonical(out, item, &[])?;
+            }
+            out.write_char(']')
+        }
         Json::Obj(entries) => {
-            let mut sorted: Vec<(String, Json)> = entries
+            let mut sorted: Vec<&(String, Json)> = entries
                 .iter()
-                .map(|(k, val)| (k.clone(), canonicalize(val)))
+                .filter(|(k, _)| !skip.contains(&k.as_str()))
                 .collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Json::Obj(sorted)
+            out.write_char('{')?;
+            for (i, (k, val)) in sorted.into_iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_escaped(out, k)?;
+                out.write_char(':')?;
+                write_canonical(out, val, &[])?;
+            }
+            out.write_char('}')
         }
-        other => other.clone(),
+        leaf => write!(out, "{leaf}"),
     }
 }
 
 /// The canonical cache key of a request document: FNV-1a over the
 /// canonical (key-sorted) serialization with the non-semantic fields
-/// `id` and `deadline_ms` removed.
+/// `id` and `deadline_ms` removed. The serialization is streamed into
+/// the hash; no copy of the document or its text is built.
 ///
 /// Two requests that describe the same computation — same op and
 /// parameters, any key order, any correlation id, any deadline — hash
 /// identically; any semantic difference changes the serialization and
 /// therefore (up to 64-bit collisions) the key.
 pub fn cache_key(request: &Json) -> u64 {
-    let semantic = match request {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .iter()
-                .filter(|(k, _)| k != "id" && k != "deadline_ms")
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        ),
-        other => other.clone(),
-    };
-    fnv1a(canonicalize(&semantic).to_string().as_bytes())
+    let mut hash = Fnv1a::default();
+    write_canonical(&mut hash, request, &["id", "deadline_ms"])
+        .expect("hashing accepts every write");
+    hash.0
 }
 
-/// Builds a success envelope. `result_raw` is spliced in verbatim — it
-/// must already be serialized JSON (this is what lets cache hits reuse
-/// the stored bytes without reparsing).
+/// Writes a success envelope to `out`: `result_raw` is spliced in
+/// verbatim, so it must already be serialized JSON. This is the one
+/// byte layout of a success; the server writes it straight into a
+/// connection's write buffer, which is how a cache hit reaches the
+/// socket with the stored bytes copied once.
+///
+/// # Errors
+///
+/// Only those of `out` itself; a `String` never fails.
+pub fn write_ok_envelope<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: Option<&Json>,
+    cached: bool,
+    coalesced: bool,
+    result_raw: &str,
+) -> fmt::Result {
+    write_ok_envelope_with(out, id, cached, coalesced, |out| out.write_str(result_raw))
+}
+
+/// [`write_ok_envelope`] whose `result` is written by `result` — how a
+/// `batch` writes its sub-envelopes straight into its own.
+pub(crate) fn write_ok_envelope_with<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: Option<&Json>,
+    cached: bool,
+    coalesced: bool,
+    result: impl FnOnce(&mut W) -> fmt::Result,
+) -> fmt::Result {
+    out.write_str("{\"ok\":true")?;
+    if let Some(id) = id {
+        write!(out, ",\"id\":{id}")?;
+    }
+    out.write_str(if cached { ",\"cached\":true" } else { ",\"cached\":false" })?;
+    if coalesced {
+        out.write_str(",\"coalesced\":true")?;
+    }
+    out.write_str(",\"result\":")?;
+    result(out)?;
+    out.write_char('}')
+}
+
+/// Writes an error envelope with a structured `code` and message to
+/// `out`, attaching `flight` (a JSON array of flight-recorder events)
+/// under `error.flight` when given.
+///
+/// # Errors
+///
+/// Only those of `out` itself; a `String` never fails.
+pub fn write_err_envelope<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: Option<&Json>,
+    code: &str,
+    message: &str,
+    flight: Option<&Json>,
+) -> fmt::Result {
+    out.write_str("{\"ok\":false")?;
+    if let Some(id) = id {
+        write!(out, ",\"id\":{id}")?;
+    }
+    out.write_str(",\"error\":{\"code\":")?;
+    write_escaped(out, code)?;
+    out.write_str(",\"message\":")?;
+    write_escaped(out, message)?;
+    if let Some(tail) = flight {
+        write!(out, ",\"flight\":{tail}")?;
+    }
+    out.write_str("}}")
+}
+
+/// Builds a success envelope ([`write_ok_envelope`] into a new string).
+/// `result_raw` is spliced in verbatim — it must already be serialized
+/// JSON.
 pub fn ok_envelope(id: Option<&Json>, cached: bool, result_raw: &str) -> String {
     ok_envelope_coalesced(id, cached, false, result_raw)
 }
@@ -502,19 +619,8 @@ pub fn ok_envelope_coalesced(
     result_raw: &str,
 ) -> String {
     let mut out = String::with_capacity(result_raw.len() + 64);
-    out.push_str("{\"ok\":true");
-    if let Some(id) = id {
-        out.push_str(",\"id\":");
-        out.push_str(&id.to_string());
-    }
-    out.push_str(",\"cached\":");
-    out.push_str(if cached { "true" } else { "false" });
-    if coalesced {
-        out.push_str(",\"coalesced\":true");
-    }
-    out.push_str(",\"result\":");
-    out.push_str(result_raw);
-    out.push('}');
+    write_ok_envelope(&mut out, id, cached, coalesced, result_raw)
+        .expect("a String accepts every write");
     out
 }
 
@@ -532,19 +638,10 @@ pub fn err_envelope_with_flight(
     message: &str,
     flight: Option<Json>,
 ) -> String {
-    let mut obj = vec![("ok".to_string(), Json::Bool(false))];
-    if let Some(id) = id {
-        obj.push(("id".to_string(), id.clone()));
-    }
-    let mut error = vec![
-        ("code".to_string(), Json::str(code)),
-        ("message".to_string(), Json::str(message)),
-    ];
-    if let Some(tail) = flight {
-        error.push(("flight".to_string(), tail));
-    }
-    obj.push(("error".to_string(), Json::Obj(error)));
-    Json::Obj(obj).to_string()
+    let mut out = String::new();
+    write_err_envelope(&mut out, id, code, message, flight.as_ref())
+        .expect("a String accepts every write");
+    out
 }
 
 #[cfg(test)]

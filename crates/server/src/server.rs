@@ -36,6 +36,7 @@
 //! cache lives only as long as the process.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -55,8 +56,8 @@ use crate::lock;
 use crate::ops::{self, OpError};
 use crate::pool::WorkerPool;
 use crate::protocol::{
-    err_envelope_with_flight, ok_envelope_coalesced, Op, Request, E_BAD_REQUEST, E_INTERNAL,
-    E_OVERLOADED, E_SHUTTING_DOWN, E_TIMEOUT,
+    write_err_envelope, write_ok_envelope, write_ok_envelope_with, Op, Request, E_BAD_REQUEST,
+    E_INTERNAL, E_OVERLOADED, E_SHUTTING_DOWN, E_TIMEOUT,
 };
 use crate::reactor::{self, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use crate::singleflight::{JoinRole, SingleFlight, Subscriber};
@@ -68,6 +69,12 @@ const MAX_PIPELINE: usize = 128;
 /// Largest request line accepted before the connection is dropped as
 /// misbehaving (a line this long is not a protocol request).
 const MAX_LINE: usize = 1 << 20;
+
+/// Most envelope bytes packed into a connection's write buffer before it
+/// is handed to the socket: the buffer holds at most one chunk plus one
+/// envelope, however many responses are ready, while responses a few
+/// KiB long still leave in one write call.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Poll tick when nothing sets a nearer deadline: idle loops still wake
 /// occasionally to notice the stop flag from a sibling loop.
@@ -520,49 +527,86 @@ struct Completion {
     coalesced: bool,
 }
 
-/// What to render into a response slot.
-enum Deliver {
-    /// A serialized result document.
+/// What a response's envelope is made of. It waits in its slot until
+/// the flush writes the envelope straight into the connection's write
+/// buffer, so a result's bytes are copied once, from the cache to that
+/// buffer.
+enum Reply {
+    /// A serialized result document, shared with the cache.
     Ok {
         raw: Arc<str>,
         cached: bool,
         coalesced: bool,
     },
-    /// A structured refusal.
-    Err(OpError),
+    /// A `batch`'s sub-replies with their ids, in request order.
+    Batch(Vec<(Option<Json>, Reply)>),
+    /// A structured refusal; `flight` is set when it lands
+    /// ([`Reply::landed`]).
+    Err {
+        error: OpError,
+        flight: Option<Json>,
+    },
 }
 
-/// Renders a response envelope and does the response-side accounting:
-/// error counters (`serve_timeouts` / `serve_overloaded` /
-/// `serve_errors`) are recorded here, exactly once per response, and
-/// timeout/overloaded refusals carry the flight-recorder tail.
-fn render_response(id: Option<&Json>, deliver: &Deliver) -> (String, bool) {
-    match deliver {
-        Deliver::Ok {
-            raw,
-            cached,
-            coalesced,
-        } => (
-            ok_envelope_coalesced(id, *cached, *coalesced, raw),
-            *cached,
-        ),
-        Deliver::Err(e) => {
+impl Reply {
+    fn err(code: &'static str, message: String) -> Reply {
+        Reply::Err {
+            error: OpError { code, message },
+            flight: None,
+        }
+    }
+
+    /// The response-side accounting, done as the reply lands in its slot
+    /// (a reply for a stale target never lands): error counters
+    /// (`serve_timeouts` / `serve_overloaded` / `serve_errors`) are
+    /// recorded here, exactly once per response, and timeout/overloaded
+    /// refusals capture the flight-recorder tail.
+    fn landed(mut self) -> Reply {
+        if let Reply::Err { error, flight } = &mut self {
+            let code = error.code;
             add(
-                if e.code == E_TIMEOUT {
+                if code == E_TIMEOUT {
                     Counter::ServeTimeouts
-                } else if e.code == E_OVERLOADED {
+                } else if code == E_OVERLOADED {
                     Counter::ServeOverloaded
                 } else {
                     Counter::ServeErrors
                 },
                 1,
             );
-            let flight = (e.code == E_TIMEOUT || e.code == E_OVERLOADED)
-                .then(|| flight_tail_json(FLIGHT_ERROR_TAIL));
-            (
-                err_envelope_with_flight(id, e.code, &e.message, flight),
-                false,
-            )
+            if code == E_TIMEOUT || code == E_OVERLOADED {
+                *flight = Some(flight_tail_json(FLIGHT_ERROR_TAIL));
+            }
+        }
+        self
+    }
+
+    /// Whether the reply is a cache hit (for the latency histograms).
+    fn cache_hit(&self) -> bool {
+        matches!(self, Reply::Ok { cached: true, .. })
+    }
+
+    /// Writes the reply's envelope, echoing `id`, to `out`.
+    fn write(&self, out: &mut String, id: Option<&Json>) -> fmt::Result {
+        match self {
+            Reply::Ok {
+                raw,
+                cached,
+                coalesced,
+            } => write_ok_envelope(out, id, *cached, *coalesced, raw),
+            Reply::Batch(subs) => write_ok_envelope_with(out, id, false, false, |out| {
+                out.write_str("{\"responses\":[")?;
+                for (i, (sub_id, sub)) in subs.iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    sub.write(out, sub_id.as_ref())?;
+                }
+                out.write_str("]}")
+            }),
+            Reply::Err { error, flight } => {
+                write_err_envelope(out, id, error.code, &error.message, flight.as_ref())
+            }
         }
     }
 }
@@ -578,8 +622,7 @@ struct Slot {
     /// `Some` only while a compute outcome is pending; inline ops and
     /// batch parents (whose batch carries the deadline) have `None`.
     expires: Option<Instant>,
-    response: Option<String>,
-    cache_hit: bool,
+    reply: Option<Reply>,
 }
 
 /// One client connection owned by an event loop.
@@ -587,7 +630,10 @@ struct Conn {
     stream: TcpStream,
     gen: u64,
     rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
+    /// Envelopes on their way to the socket; `wbuf[written..]` is still
+    /// unsent. Cleared (keeping its capacity) once all of it is sent.
+    wbuf: String,
+    written: usize,
     slots: VecDeque<Slot>,
     next_seq: u64,
     peer_closed: bool,
@@ -601,7 +647,7 @@ struct BatchState {
     gen: u64,
     seq: u64,
     sub_ids: Vec<Option<Json>>,
-    responses: Vec<Option<String>>,
+    replies: Vec<Option<Reply>>,
     remaining: usize,
     expires: Instant,
     deadline_ms: u64,
@@ -618,6 +664,9 @@ struct EventLoop {
     completions: Arc<Mutex<Vec<Completion>>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// The poll set's descriptors and, per descriptor, the owning
+    /// connection (`usize::MAX` for the listener and the wake pipe).
+    poll_set: (Vec<PollFd>, Vec<usize>),
     batches: HashMap<u64, BatchState>,
     next_batch: u64,
     next_gen: u64,
@@ -637,6 +686,7 @@ impl EventLoop {
             completions: Arc::new(Mutex::new(Vec::new())),
             conns: Vec::new(),
             free: Vec::new(),
+            poll_set: (Vec::new(), Vec::new()),
             batches: HashMap::new(),
             next_batch: 0,
             next_gen: 0,
@@ -666,8 +716,11 @@ impl EventLoop {
                     return Ok(());
                 }
             }
-            let mut fds = Vec::with_capacity(self.conns.len() + 2);
-            let mut owners = Vec::with_capacity(self.conns.len() + 2);
+            // The poll set is rebuilt in place each turn; its buffers stay
+            // with the loop so an idle turn allocates nothing.
+            let (mut fds, mut owners) = std::mem::take(&mut self.poll_set);
+            fds.clear();
+            owners.clear();
             let listener_slot = (!stopping).then(|| {
                 fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
                 owners.push(usize::MAX);
@@ -709,6 +762,7 @@ impl EventLoop {
                     self.read_conn(owners[k]);
                 }
             }
+            self.poll_set = (fds, owners);
             if do_accept {
                 self.accept_all();
             }
@@ -731,7 +785,7 @@ impl EventLoop {
         let now = Instant::now();
         for conn in self.conns.iter().flatten() {
             for slot in &conn.slots {
-                if slot.response.is_none() {
+                if slot.reply.is_none() {
                     if let Some(t) = slot.expires {
                         tick = tick.min(t.saturating_duration_since(now));
                     }
@@ -750,30 +804,29 @@ impl EventLoop {
     fn apply_completions(&mut self) {
         let done = std::mem::take(&mut *lock(&self.completions));
         for completion in done {
-            let deliver = match completion.outcome {
-                Ok(raw) => Deliver::Ok {
+            let reply = match completion.outcome {
+                Ok(raw) => Reply::Ok {
                     raw,
                     cached: false,
                     coalesced: completion.coalesced,
                 },
-                Err(e) => Deliver::Err(e),
+                Err(error) => Reply::err(error.code, error.message),
             };
-            self.deliver(completion.target, &deliver);
+            self.deliver(completion.target, reply);
         }
     }
 
-    fn deliver(&mut self, target: Target, deliver: &Deliver) {
+    fn deliver(&mut self, target: Target, reply: Reply) {
         match target {
-            Target::Conn { conn, gen, seq } => self.fill_conn(conn, gen, seq, deliver),
-            Target::Batch { batch, idx } => self.fill_batch(batch, idx, deliver),
+            Target::Conn { conn, gen, seq } => self.fill_conn(conn, gen, seq, reply),
+            Target::Batch { batch, idx } => self.fill_batch(batch, idx, reply),
         }
     }
 
-    /// Renders `deliver` into slot `seq` of connection `conn`. A stale
-    /// target (connection gone, generation recycled, slot already
-    /// answered by expiry) is ignored — late results only warm the
-    /// cache.
-    fn fill_conn(&mut self, conn: usize, gen: u64, seq: u64, deliver: &Deliver) {
+    /// Puts `reply` into slot `seq` of connection `conn`. A stale target
+    /// (connection gone, generation recycled, slot already answered by
+    /// expiry) is ignored — late results only warm the cache.
+    fn fill_conn(&mut self, conn: usize, gen: u64, seq: u64, reply: Reply) {
         let Some(Some(c)) = self.conns.get_mut(conn) else {
             return;
         };
@@ -783,55 +836,42 @@ impl EventLoop {
         let Some(slot) = c.slots.iter_mut().find(|s| s.seq == seq) else {
             return;
         };
-        if slot.response.is_some() {
+        if slot.reply.is_some() {
             return;
         }
-        let (response, cache_hit) = render_response(slot.id.as_ref(), deliver);
-        slot.response = Some(response);
-        slot.cache_hit = cache_hit;
+        slot.reply = Some(reply.landed());
     }
 
-    fn fill_batch(&mut self, batch: u64, idx: usize, deliver: &Deliver) {
+    fn fill_batch(&mut self, batch: u64, idx: usize, reply: Reply) {
         let Some(state) = self.batches.get_mut(&batch) else {
             return;
         };
-        if state.responses[idx].is_some() {
+        if state.replies[idx].is_some() {
             return;
         }
-        let (response, _) = render_response(state.sub_ids[idx].as_ref(), deliver);
-        state.responses[idx] = Some(response);
+        state.replies[idx] = Some(reply.landed());
         state.remaining -= 1;
         if state.remaining == 0 {
             self.finalize_batch(batch);
         }
     }
 
-    /// Assembles a completed batch into its parent envelope:
-    /// `{"responses": [<sub envelope>, …]}` in request order.
+    /// Fills a completed batch's parent slot with its sub-replies in
+    /// request order; the flush writes them as
+    /// `{"responses": [<sub envelope>, …]}` inside the parent envelope.
     fn finalize_batch(&mut self, batch: u64) {
         let Some(state) = self.batches.remove(&batch) else {
             return;
         };
-        let mut raw = String::from("{\"responses\":[");
-        // `remaining` reached 0, so every sub-response is filled and
-        // `flatten` skips none.
-        for (i, response) in state.responses.iter().flatten().enumerate() {
-            if i > 0 {
-                raw.push(',');
-            }
-            raw.push_str(response);
-        }
-        raw.push_str("]}");
-        self.fill_conn(
-            state.conn,
-            state.gen,
-            state.seq,
-            &Deliver::Ok {
-                raw: Arc::from(raw),
-                cached: false,
-                coalesced: false,
-            },
-        );
+        // `remaining` reached 0, so every position is filled and none
+        // is skipped.
+        let subs = state
+            .sub_ids
+            .into_iter()
+            .zip(state.replies)
+            .filter_map(|(id, reply)| Some((id, reply?)))
+            .collect();
+        self.fill_conn(state.conn, state.gen, state.seq, Reply::Batch(subs));
     }
 
     /// Answers every slot and batch whose deadline has passed with a
@@ -843,9 +883,7 @@ impl EventLoop {
         for (i, conn) in self.conns.iter().enumerate() {
             let Some(c) = conn else { continue };
             for slot in &c.slots {
-                if slot.response.is_none()
-                    && slot.expires.is_some_and(|t| now >= t)
-                {
+                if slot.reply.is_none() && slot.expires.is_some_and(|t| now >= t) {
                     due.push((i, c.gen, slot.seq, slot.trace_id, slot.deadline_ms));
                 }
             }
@@ -856,10 +894,7 @@ impl EventLoop {
                 conn,
                 gen,
                 seq,
-                &Deliver::Err(OpError {
-                    code: E_TIMEOUT,
-                    message: format!("deadline of {deadline_ms}ms expired"),
-                }),
+                Reply::err(E_TIMEOUT, format!("deadline of {deadline_ms}ms expired")),
             );
         }
         let expired: Vec<u64> = self
@@ -871,7 +906,7 @@ impl EventLoop {
         for key in expired {
             let (n, trace_id, deadline_ms) = {
                 let b = &self.batches[&key];
-                (b.responses.len(), b.trace_id, b.deadline_ms)
+                (b.replies.len(), b.trace_id, b.deadline_ms)
             };
             flight_record(FlightKind::DeadlineExpiry, trace_id, deadline_ms);
             for idx in 0..n {
@@ -880,10 +915,7 @@ impl EventLoop {
                 self.fill_batch(
                     key,
                     idx,
-                    &Deliver::Err(OpError {
-                        code: E_TIMEOUT,
-                        message: format!("deadline of {deadline_ms}ms expired"),
-                    }),
+                    Reply::err(E_TIMEOUT, format!("deadline of {deadline_ms}ms expired")),
                 );
             }
         }
@@ -937,7 +969,8 @@ impl EventLoop {
                         stream,
                         gen,
                         rbuf: Vec::new(),
-                        wbuf: Vec::new(),
+                        wbuf: String::new(),
+                        written: 0,
                         slots: VecDeque::new(),
                         next_seq: 0,
                         peer_closed: false,
@@ -958,31 +991,40 @@ impl EventLoop {
     }
 
     /// Parses buffered lines into dispatches (bounded by the pipeline
-    /// cap), then flushes whatever responses are ready.
+    /// cap), then flushes whatever responses are ready. Each line is
+    /// decoded where it lies in the read buffer (a lossy copy is made
+    /// only for invalid UTF-8), and the consumed prefix is drained once.
     fn pump(&mut self, index: usize) {
-        loop {
-            let Some(Some(c)) = self.conns.get_mut(index) else {
-                return;
-            };
-            if c.dead || c.slots.len() >= MAX_PIPELINE {
-                break;
+        let Some(Some(c)) = self.conns.get_mut(index) else {
+            return;
+        };
+        // The buffer leaves the connection while its lines are
+        // dispatched, so a line can borrow it across `dispatch_line`.
+        let rbuf = std::mem::take(&mut c.rbuf);
+        let mut consumed = 0;
+        while let Some(len) = rbuf[consumed..].iter().position(|&b| b == b'\n') {
+            match self.conns.get(index) {
+                Some(Some(c)) if !c.dead && c.slots.len() < MAX_PIPELINE => {}
+                _ => break,
             }
-            let Some(pos) = c.rbuf.iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line).into_owned();
-            if line.trim().is_empty() {
-                continue;
+            let line = String::from_utf8_lossy(&rbuf[consumed..consumed + len]);
+            consumed += len + 1;
+            if !line.trim().is_empty() {
+                self.dispatch_line(index, &line);
             }
-            self.dispatch_line(index, &line);
+        }
+        if let Some(Some(c)) = self.conns.get_mut(index) {
+            c.rbuf = rbuf;
+            c.rbuf.drain(..consumed);
         }
         self.flush(index);
     }
 
-    /// Moves completed in-order responses into the write buffer (doing
-    /// the per-request latency accounting at that moment) and writes as
-    /// much as the socket accepts.
+    /// Writes completed in-order responses to the socket: each envelope
+    /// is written from its slot's reply straight into the write buffer
+    /// (doing the per-request latency accounting at that moment), up to
+    /// [`WRITE_CHUNK`] bytes at a time, and the buffer is written with
+    /// one call per chunk for as long as the socket accepts it.
     fn flush(&mut self, index: usize) {
         let Some(Some(c)) = self.conns.get_mut(index) else {
             return;
@@ -990,30 +1032,42 @@ impl EventLoop {
         if c.dead {
             return;
         }
-        while let Some(response) = c.slots.front_mut().and_then(|s| s.response.take()) {
-            // `front_mut` just yielded this slot, so the pop returns it.
-            let Some(slot) = c.slots.pop_front() else { break };
-            let elapsed_ns = slot.started.elapsed().as_nanos() as u64;
-            record_hist(
-                if slot.cache_hit {
-                    Hist::ServeLatencyCacheHit
-                } else {
-                    Hist::ServeLatencyCold
-                },
-                elapsed_ns,
-            );
-            flight_record(FlightKind::RequestEnd, slot.trace_id, elapsed_ns / 1_000);
-            c.wbuf.extend_from_slice(response.as_bytes());
-            c.wbuf.push(b'\n');
-        }
-        while !c.wbuf.is_empty() {
-            match c.stream.write(&c.wbuf) {
+        loop {
+            while c.wbuf.len() < WRITE_CHUNK {
+                let Some(reply) = c.slots.front_mut().and_then(|s| s.reply.take()) else {
+                    break;
+                };
+                // `front_mut` just yielded this slot, so the pop returns it.
+                let Some(slot) = c.slots.pop_front() else { break };
+                let elapsed_ns = slot.started.elapsed().as_nanos() as u64;
+                record_hist(
+                    if reply.cache_hit() {
+                        Hist::ServeLatencyCacheHit
+                    } else {
+                        Hist::ServeLatencyCold
+                    },
+                    elapsed_ns,
+                );
+                flight_record(FlightKind::RequestEnd, slot.trace_id, elapsed_ns / 1_000);
+                reply
+                    .write(&mut c.wbuf, slot.id.as_ref())
+                    .expect("a String accepts every write");
+                c.wbuf.push('\n');
+            }
+            if c.written == c.wbuf.len() {
+                break;
+            }
+            match c.stream.write(&c.wbuf.as_bytes()[c.written..]) {
                 Ok(0) => {
                     c.dead = true;
                     break;
                 }
                 Ok(n) => {
-                    c.wbuf.drain(..n);
+                    c.written += n;
+                    if c.written == c.wbuf.len() {
+                        c.wbuf.clear();
+                        c.written = 0;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1068,8 +1122,7 @@ impl EventLoop {
             id,
             deadline_ms,
             expires,
-            response: None,
-            cache_hit: false,
+            reply: None,
         });
         Some((c.gen, seq))
     }
@@ -1094,15 +1147,7 @@ impl EventLoop {
                 if let Some((gen, seq)) =
                     self.push_slot(index, started, root.trace_id, id, 0, None)
                 {
-                    self.fill_conn(
-                        index,
-                        gen,
-                        seq,
-                        &Deliver::Err(OpError {
-                            code: E_BAD_REQUEST,
-                            message: msg,
-                        }),
-                    );
+                    self.fill_conn(index, gen, seq, Reply::err(E_BAD_REQUEST, msg));
                 }
                 return;
             }
@@ -1126,7 +1171,7 @@ impl EventLoop {
                     index,
                     gen,
                     seq,
-                    &Deliver::Ok {
+                    Reply::Ok {
                         raw,
                         cached: false,
                         coalesced: false,
@@ -1212,7 +1257,7 @@ impl EventLoop {
                 gen,
                 seq,
                 sub_ids: subs.iter().map(|r| r.id.clone()).collect(),
-                responses: vec![None; subs.len()],
+                replies: subs.iter().map(|_| None).collect(),
                 remaining: subs.len(),
                 expires,
                 deadline_ms,
@@ -1224,7 +1269,7 @@ impl EventLoop {
             if let Some(raw) = self.inline_result(&sub.op) {
                 self.deliver(
                     target,
-                    &Deliver::Ok {
+                    Reply::Ok {
                         raw,
                         cached: false,
                         coalesced: false,
@@ -1257,7 +1302,7 @@ impl EventLoop {
             if let Some(raw) = hit {
                 self.deliver(
                     target,
-                    &Deliver::Ok {
+                    Reply::Ok {
                         raw,
                         cached: true,
                         coalesced: false,
@@ -1269,10 +1314,7 @@ impl EventLoop {
         if self.shared.stopping.load(Ordering::Acquire) {
             self.deliver(
                 target,
-                &Deliver::Err(OpError {
-                    code: E_SHUTTING_DOWN,
-                    message: "server is draining".to_string(),
-                }),
+                Reply::err(E_SHUTTING_DOWN, "server is draining".to_string()),
             );
             return;
         }
@@ -1282,10 +1324,7 @@ impl EventLoop {
             // compute outside the coalescing map.
             self.deliver(
                 target,
-                &Deliver::Err(OpError {
-                    code: E_INTERNAL,
-                    message: "compute op has no cache key".to_string(),
-                }),
+                Reply::err(E_INTERNAL, "compute op has no cache key".to_string()),
             );
             return;
         };
@@ -1809,6 +1848,44 @@ mod tests {
         // The only worker survived and computes the next request.
         assert_eq!(responses[2].get("ok").and_then(Json::as_bool), Some(true), "{}", responses[2]);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_reply_writes_its_sub_envelopes_inside_its_own() {
+        use crate::protocol::{err_envelope, ok_envelope, ok_envelope_coalesced};
+        let raw: Arc<str> = Arc::from(r#"{"x":[1,"é"]}"#);
+        let (a, three, parent) = (Json::str("a\"b"), Json::UInt(3), Json::str("batch"));
+        let subs = vec![
+            (
+                Some(a.clone()),
+                Reply::Ok {
+                    raw: Arc::clone(&raw),
+                    cached: true,
+                    coalesced: false,
+                },
+            ),
+            (
+                None,
+                Reply::Ok {
+                    raw: Arc::clone(&raw),
+                    cached: false,
+                    coalesced: true,
+                },
+            ),
+            (Some(three.clone()), Reply::err(E_TIMEOUT, "late".to_string())),
+        ];
+        // The parent envelope as it was built before: the sub-envelope
+        // strings joined, then spliced in as the parent's result.
+        let inner = [
+            ok_envelope_coalesced(Some(&a), true, false, &raw),
+            ok_envelope_coalesced(None, false, true, &raw),
+            err_envelope(Some(&three), E_TIMEOUT, "late"),
+        ]
+        .join(",");
+        let want = ok_envelope(Some(&parent), false, &format!("{{\"responses\":[{inner}]}}"));
+        let mut out = String::from("earlier\n");
+        Reply::Batch(subs).write(&mut out, Some(&parent)).unwrap();
+        assert_eq!(out, format!("earlier\n{want}"));
     }
 
     /// `(ns, self_ns)` of the span row `path` in a `stats` response.
